@@ -16,6 +16,7 @@ from .errors import (
     MissingColumnError,
     MissingInputError,
     MixedPeriodsError,
+    NonFiniteError,
     NonNegativityError,
     NumericalError,
     ShapeMismatchError,
@@ -73,6 +74,7 @@ __all__ = [
     "MissingInputError",
     "MixedPeriodsError",
     "NmfConfig",
+    "NonFiniteError",
     "NonNegativityError",
     "NormalizedMatrix",
     "NumericalError",

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import io as tio
 from .errors import ConfigError, DataError, MissingInputError, NumericalError, TrafficNmfError
 from .ingest import ColumnMapping, CountMatrix, HourWindow, build_matrix, minmax_normalize, parse_records
-from .nmf import INIT_NNDSVD, INIT_RANDOM, NmfConfig, factorize
+from .nmf import INIT_NNDSVD, INIT_RANDOM, FactorPair, NmfConfig, factorize
 from .patterns import (
     DEFAULT_MATCH_THRESHOLD,
     compare_periods,
@@ -239,16 +239,21 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _choose_rank(cfg: PipelineConfig, fixed: int | None, normalized, label: str) -> int:
+def _choose_rank(cfg: PipelineConfig, fixed: int | None, normalized,
+                 label: str) -> tuple[int, FactorPair | None]:
+    """The rank to factorize at, with the scan's solve at that rank.
+
+    A fixed rank skips the scan and comes back without a pair.
+    """
     if fixed is not None:
-        return int(fixed)
+        return int(fixed), None
     result = rank_scan(normalized, cfg.ranks, cfg.nmf_template(),
                        target=cfg.target, points=cfg.points)
     scan_path = cfg.out / f"rank_scan_{label}.csv"
     tio.write_scan_table(scan_path, result)
     print(f"{label}: scanned ranks {cfg.ranks[0]}..{cfg.ranks[-1]}, "
           f"recommended {result.recommended_rank} (wrote {scan_path})")
-    return result.recommended_rank
+    return result.recommended_rank, result.pairs[result.recommended_rank]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -269,13 +274,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         norm_b = minmax_normalize(matrix_b)
 
         stage = "rank selection"
-        rank_a = _choose_rank(cfg, cfg.rank_a, norm_a, cfg.label_a)
-        rank_b = _choose_rank(cfg, cfg.rank_b, norm_b, cfg.label_b)
+        rank_a, pair_a = _choose_rank(cfg, cfg.rank_a, norm_a, cfg.label_a)
+        rank_b, pair_b = _choose_rank(cfg, cfg.rank_b, norm_b, cfg.label_b)
 
         stage = "factorization"
         cfg_a, cfg_b = cfg.nmf_at(rank_a), cfg.nmf_at(rank_b)
-        pair_a = factorize(norm_a, cfg_a)
-        pair_b = factorize(norm_b, cfg_b)
+        if pair_a is None:
+            pair_a = factorize(norm_a, cfg_a)
+        if pair_b is None:
+            pair_b = factorize(norm_b, cfg_b)
         tio.write_factor_tables(
             cfg.out / f"{cfg.label_a}_location_loadings.csv",
             cfg.out / f"{cfg.label_a}_time_loadings.csv",

@@ -57,5 +57,9 @@ class NonNegativityError(NumericalError):
     """A matrix that must be nonnegative contains a negative entry."""
 
 
+class NonFiniteError(NumericalError):
+    """A matrix that must be finite contains a NaN or infinite entry."""
+
+
 class DegenerateClusteringError(NumericalError):
     """Clustering has fewer than two populated clusters or too few points."""

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateClusteringError, NumericalError, TrafficNmfError
+from .errors import DegenerateClusteringError, InvalidRankError, NumericalError, TrafficNmfError
 from .ingest import NormalizedMatrix
 from .nmf import FactorPair, NmfConfig, factorize
 
@@ -53,10 +53,17 @@ class RankScanEntry:
 
 @dataclass
 class RankScanResult:
+    """Scan table, recommendation, and each scanned rank's factorization.
+
+    pairs[r] is the FactorPair the scan computed at rank r, identical to
+    factorize at seed cfg.seed + r, so callers need not solve it again.
+    """
+
     entries: list[RankScanEntry]
     recommended_rank: int
     target: str
     points: str
+    pairs: dict[int, FactorPair]
 
     def entry(self, rank: int) -> RankScanEntry:
         for e in self.entries:
@@ -154,6 +161,9 @@ def rank_scan(
     factorization fails is skipped; a rank whose clustering is degenerate
     keeps its dispersions but gets a NaN score. The recommendation is the
     rank with the highest finite Calinski-Harabasz score.
+
+    Raises InvalidRankError when no candidate rank is at most min(n, m);
+    ranks above it are skipped when some candidate fits.
     """
     if target not in (TARGET_LOCATION, TARGET_TIME):
         raise ValueError(f"unknown target {target!r}")
@@ -161,7 +171,13 @@ def rank_scan(
         raise ValueError(f"unknown points mode {points!r}")
 
     data = x.values if isinstance(x, NormalizedMatrix) else np.asarray(x, dtype=float)
+    ranks = list(ranks)
+    max_rank = min(data.shape)
+    if ranks and min(ranks) > max_rank:
+        raise InvalidRankError(
+            f"every candidate rank {ranks} exceeds min matrix dimension {max_rank}")
     entries: list[RankScanEntry] = []
+    pairs: dict[int, FactorPair] = {}
     for rank in ranks:
         rank_cfg = replace(cfg, rank=rank, seed=cfg.seed + rank)
         try:
@@ -187,6 +203,7 @@ def rank_scan(
             ch_score=ch,
             final_loss=pair.objective_trace[-1],
         ))
+        pairs[rank] = pair
 
     if not entries:
         raise NumericalError("every candidate rank failed to factorize")
@@ -195,6 +212,7 @@ def rank_scan(
         recommended_rank=_recommend(entries),
         target=target,
         points=points,
+        pairs=pairs,
     )
 
 

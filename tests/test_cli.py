@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import trafficnmf.cli as cli
 from trafficnmf.cli import main
 
 
@@ -40,14 +41,40 @@ def test_bad_range_exits_1(tmp_path, synth_pair, capsys):
     assert "--hours" in capsys.readouterr().err
 
 
+def write_count_table(path, rows):
+    """A count-matrix table with hours 7.. and one row of counts per location."""
+    hours = ",".join(f"h{7 + j:02d}" for j in range(len(rows[0])))
+    lines = [f"location_id,latitude,longitude,{hours}"]
+    lines += [f"L{i},50,0," + ",".join(str(v) for v in row) for i, row in enumerate(rows)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
-    # Two locations, one hour bin: every rank in 2..8 is invalid.
-    matrix_file = tmp_path / "tiny.csv"
-    matrix_file.write_text(
-        "location_id,latitude,longitude,h07\nL1,50,0,3\nL2,50,0,5\n"
-    )
-    code = run_cli("rank-scan", "--input-a", str(matrix_file), "--out", str(tmp_path))
+    # An infinite count fails every rank's factorization.
+    table = write_count_table(tmp_path / "inf.csv", [[3, 1, 4], [1, 5, "inf"], [2, 6, 5]])
+    code = run_cli("rank-scan", "--input-a", str(table), "--ranks", "2..3",
+                   "--out", str(tmp_path))
     assert code == 3
+    assert "every candidate rank failed" in capsys.readouterr().err
+
+
+def test_factorize_non_finite_table_exits_3(tmp_path, capsys):
+    table = write_count_table(tmp_path / "inf.csv", [[3, 1, 4], [1, 5, "inf"], [2, 6, 5]])
+    code = run_cli("factorize", "--input-a", str(table), "--rank-a", "2",
+                   "--out", str(tmp_path))
+    assert code == 3
+    assert "infinite" in capsys.readouterr().err
+    assert not (tmp_path / "A_diagnostics.json").exists()
+
+
+def test_rank_scan_without_fitting_rank_exits_1(tmp_path, capsys):
+    rows = [[(i * 7 + j * 3) % 11 for j in range(12)] for i in range(30)]
+    table = write_count_table(tmp_path / "twelve.csv", rows)
+    code = run_cli("rank-scan", "--input-a", str(table), "--ranks", "20..22",
+                   "--out", str(tmp_path))
+    assert code == 1
+    assert "exceeds min matrix dimension 12" in capsys.readouterr().err
 
 
 def test_ingest_reports_shape_and_writes_counts(tmp_path, synth_pair, capsys):
@@ -214,6 +241,42 @@ def test_pipeline_composition_matches_run(tmp_path, synth_pair):
                  "rank_scan_2020.csv", "2019_location_loadings.csv",
                  "2019_time_loadings.csv", "2019_diagnostics.json"):
         assert (run_out / name).read_bytes() == (step_out / name).read_bytes(), name
+
+
+def test_run_reuses_scan_factorization(tmp_path, synth_pair, monkeypatch):
+    # The scan's solve at the recommended rank is the final factorization:
+    # run calls factorize itself only for fixed ranks, and its outputs
+    # match a run with those ranks fixed byte for byte.
+    raw_a, raw_b = synth_pair
+    solves = []
+    real_factorize = cli.factorize
+
+    def counting_factorize(x, nmf_cfg):
+        solves.append(nmf_cfg.rank)
+        return real_factorize(x, nmf_cfg)
+
+    monkeypatch.setattr(cli, "factorize", counting_factorize)
+    common = ["--input-a", str(raw_a), "--input-b", str(raw_b), "--label-a", "2019",
+              "--label-b", "2020", "--ranks", "2..8", "--seed", "0"]
+    scanned = tmp_path / "scanned"
+    assert run_cli("run", *common, "--out", str(scanned)) == 0
+    assert solves == []
+
+    report = json.loads((scanned / "report.json").read_text())
+    rank_a, rank_b = report["period_a"]["rank"], report["period_b"]["rank"]
+    fixed = tmp_path / "fixed"
+    assert run_cli("run", *common, "--rank-a", str(rank_a), "--rank-b", str(rank_b),
+                   "--out", str(fixed)) == 0
+    assert solves == [rank_a, rank_b]
+
+    for label, rank in (("2019", rank_a), ("2020", rank_b)):
+        for suffix in ("location_loadings.csv", "time_loadings.csv", "diagnostics.json"):
+            name = f"{label}_{suffix}"
+            assert (scanned / name).read_bytes() == (fixed / name).read_bytes(), name
+        scan_rows = (scanned / f"rank_scan_{label}.csv").read_text().splitlines()[1:]
+        scan_loss = {int(r.split(",")[0]): float(r.split(",")[-1]) for r in scan_rows}
+        diag = json.loads((scanned / f"{label}_diagnostics.json").read_text())
+        assert diag["final_loss"] == scan_loss[rank]
 
 
 def test_run_rerun_same_dir_is_idempotent(tmp_path, synth_pair):

@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from trafficnmf.errors import InvalidRankError, NonNegativityError, ShapeMismatchError
-from trafficnmf.nmf import INIT_NNDSVD, FactorPair, NmfConfig, factorize, reconstruction_error
+from trafficnmf.errors import InvalidRankError, NonFiniteError, NonNegativityError, ShapeMismatchError
+from trafficnmf.nmf import INIT_NNDSVD, FactorPair, NmfConfig, _random_init, factorize, reconstruction_error
 from trafficnmf.patterns import cosine_similarity_matrix
 from trafficnmf.synth import SyntheticSpec, generate_period
 
@@ -53,6 +56,14 @@ def test_negative_input_rejected():
     x = np.ones((3, 3))
     x[1, 2] = -0.5
     with pytest.raises(NonNegativityError):
+        factorize(x, NmfConfig(rank=2, seed=0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected(bad):
+    x = np.ones((3, 3))
+    x[0, 1] = bad
+    with pytest.raises(NonFiniteError):
         factorize(x, NmfConfig(rank=2, seed=0))
 
 
@@ -151,3 +162,47 @@ def test_nndsvd_initialization_converges_and_is_deterministic():
     p1, p2 = factorize(x, cfg), factorize(x, cfg)
     assert np.array_equal(p1.w, p2.w)
     assert reconstruction_error(x, p1) / np.linalg.norm(x) <= 0.05
+
+
+def explicit_residual_mu(x, cfg):
+    """Reference solver: the plain update rule with the loss taken from the
+    full residual X - W H^T at every iteration."""
+    w, h = _random_init(x, cfg.rank, cfg.seed)
+    trace = [np.linalg.norm(x - w @ h.T)]
+    for _ in range(cfg.max_iters):
+        h *= (x.T @ w) / np.maximum(h @ (w.T @ w), 1e-12)
+        w *= (x @ h) / np.maximum(w @ (h.T @ h), 1e-12)
+        trace.append(np.linalg.norm(x - w @ h.T))
+        if abs(trace[-2] - trace[-1]) <= cfg.tol * max(trace[-2], 1e-12):
+            break
+    return w, h, trace
+
+
+@st.composite
+def nonnegative_problems(draw):
+    """A nonnegative matrix (general or an exact low-rank product, some rows
+    possibly all zero), a rank that fits it, and a seed."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 10))
+    rank = draw(st.integers(1, min(n, m)))
+    entries = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, rank))
+        x = draw(arrays(float, (n, k), elements=entries)) @ \
+            draw(arrays(float, (m, k), elements=entries)).T
+    else:
+        x = draw(arrays(float, (n, m), elements=entries))
+    x[draw(arrays(bool, n))] = 0.0
+    return x, rank, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonnegative_problems())
+def test_trace_identity_loss_matches_explicit_residual(problem):
+    x, rank, seed = problem
+    cfg = NmfConfig(rank=rank, seed=seed)
+    w, h, trace = explicit_residual_mu(x, cfg)
+    pair = factorize(x, cfg)
+    assert pair.iterations_run == len(trace) - 1
+    np.testing.assert_allclose(pair.w, w, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(pair.h, h, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(pair.objective_trace, trace, rtol=1e-9, atol=0.0)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from trafficnmf.errors import DegenerateClusteringError
+from trafficnmf.errors import DegenerateClusteringError, InvalidRankError
 from trafficnmf.ingest import build_matrix, minmax_normalize
-from trafficnmf.nmf import NmfConfig
+from trafficnmf.nmf import NmfConfig, factorize
 from trafficnmf.rank import (
     POINTS_MATRIX,
     ClusterAssignment,
@@ -203,6 +203,28 @@ def test_rank_scan_order_independent():
     assert sorted(forward.entries, key=lambda e: e.rank) == \
         sorted(backward.entries, key=lambda e: e.rank)
     assert forward.recommended_rank == backward.recommended_rank
+
+
+def test_rank_scan_pairs_are_the_factorize_solves():
+    x = planted_normalized(3, seed=5)
+    cfg = NmfConfig(rank=2, seed=30)
+    result = rank_scan(x, range(2, 6), cfg)
+    assert sorted(result.pairs) == [2, 3, 4, 5]
+    for r, pair in result.pairs.items():
+        solo = factorize(x, NmfConfig(rank=r, seed=cfg.seed + r))
+        assert np.array_equal(pair.w, solo.w)
+        assert np.array_equal(pair.h, solo.h)
+        assert pair.objective_trace == solo.objective_trace
+        assert pair.iterations_run == solo.iterations_run
+        assert result.entry(r).final_loss == solo.objective_trace[-1]
+
+
+def test_rank_scan_skips_oversize_ranks_only_when_some_fit():
+    x = np.random.default_rng(8).random((20, 4))
+    result = rank_scan(x, range(3, 7), NmfConfig(rank=2, seed=0))
+    assert [e.rank for e in result.entries] == [3, 4]
+    with pytest.raises(InvalidRankError):
+        rank_scan(x, range(5, 7), NmfConfig(rank=2, seed=0))
 
 
 def test_rank_scan_matrix_points_share_total_scatter():
