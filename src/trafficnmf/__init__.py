@@ -29,6 +29,7 @@ from .ingest import (
     HourWindow,
     NormalizedMatrix,
     ParseResult,
+    RecordTable,
     TrafficRecord,
     build_matrix,
     minmax_normalize,
@@ -82,6 +83,7 @@ __all__ = [
     "PatternMatch",
     "PatternSet",
     "RankScanResult",
+    "RecordTable",
     "ShapeMismatchError",
     "SyntheticSpec",
     "TrafficNmfError",

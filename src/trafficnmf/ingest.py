@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    DataError,
     EmptyInputError,
     MissingColumnError,
     MixedPeriodsError,
@@ -69,9 +72,48 @@ class TrafficRecord:
     period_label: str
 
 
+@dataclass(frozen=True)
+class RecordTable:
+    """Count observations of one period held as columns, one entry per record.
+
+    Counts are stored as float64: every accepted count is an integral
+    float, so the column holds it exactly.
+    """
+
+    location_ids: np.ndarray
+    latitude: np.ndarray
+    longitude: np.ndarray
+    hour: np.ndarray
+    count: np.ndarray
+    period_label: str
+
+    def __len__(self) -> int:
+        return len(self.location_ids)
+
+    @classmethod
+    def from_records(cls, records: Iterable[TrafficRecord]) -> RecordTable:
+        """Collect record objects into columns; they must share one period label."""
+        records = list(records)
+        periods = {r.period_label for r in records}
+        if len(periods) > 1:
+            raise MixedPeriodsError(f"records span multiple periods: {sorted(periods)}")
+        return cls(
+            location_ids=np.array([r.location_id for r in records], dtype=object),
+            latitude=np.array([r.latitude for r in records], dtype=float),
+            longitude=np.array([r.longitude for r in records], dtype=float),
+            hour=np.array([r.hour for r in records], dtype=np.int64),
+            count=np.array([r.count for r in records], dtype=float),
+            period_label=periods.pop() if periods else "",
+        )
+
+
 @dataclass
 class RejectionSummary:
-    """Per-reason tally of input rows that were skipped rather than parsed."""
+    """Per-reason tally of input rows that were skipped rather than parsed.
+
+    Each sample is (line number, reason); the line number is the physical
+    line of the input on which the row ends, counting the header as line 1.
+    """
 
     total: int = 0
     by_reason: dict[str, int] = field(default_factory=dict)
@@ -94,7 +136,7 @@ class RejectionSummary:
 
 @dataclass
 class ParseResult:
-    records: list[TrafficRecord]
+    records: RecordTable
     rejections: RejectionSummary
 
 
@@ -142,109 +184,144 @@ class NormalizedMatrix:
         return out
 
 
+def _column_indices(header: list[str], schema: ColumnMapping) -> list[int]:
+    indices = []
+    for name in schema.required():
+        found = [i for i, h in enumerate(header) if h == name]
+        if not found:
+            raise MissingColumnError(f"column {name!r} not found in header {header}")
+        if len(found) > 1:
+            raise DataError(f"column {name!r} appears {len(found)} times in header {header}")
+        indices.append(found[0])
+    return indices
+
+
 def parse_records(
     stream: io.TextIOBase | str,
     schema: ColumnMapping | None = None,
     period_label: str = "",
 ) -> ParseResult:
-    """Parse a delimited text table into traffic records.
+    """Parse a delimited text table into a columnar record table.
 
     Rows with missing fields, non-numeric values, negative counts, hours
     outside 0..23, or out-of-range coordinates are skipped and tallied in
-    the returned rejection summary; they never abort the parse.
+    the returned rejection summary; they never abort the parse. A field
+    missing from a short row counts as empty. Blank lines are not rows.
 
-    Raises MissingColumnError if the header lacks a mapped column and
-    EmptyInputError if no data rows are present.
+    Raises MissingColumnError if the header lacks a mapped column,
+    DataError if it names a mapped column twice, and EmptyInputError if no
+    data rows are present.
     """
     schema = schema or ColumnMapping()
     if isinstance(stream, str):
         stream = io.StringIO(stream)
 
-    reader = csv.DictReader(stream, delimiter=schema.delimiter)
-    header = reader.fieldnames
+    reader = csv.reader(stream, delimiter=schema.delimiter)
+    header = next(reader, None)
     if header is None:
         raise EmptyInputError("input has no header row")
-    for name in schema.required():
-        if name not in header:
-            raise MissingColumnError(f"column {name!r} not found in header {header}")
+    indices = _column_indices(header, schema)
+    pick = operator.itemgetter(*indices)
+    width = max(indices) + 1
 
-    def as_int(raw: str) -> int:
-        # Accept "120" and "120.0" but not a truncatable "120.7".
-        v = float(raw)
-        if not v.is_integer():
-            raise ValueError(raw)
-        return int(v)
-
-    records: list[TrafficRecord] = []
+    locs: list[str] = []
+    lats: list[float] = []
+    lons: list[float] = []
+    hours: list[float] = []
+    counts: list[float] = []
     rejections = RejectionSummary()
+    reject = rejections.add
     n_rows = 0
-    for line_no, row in enumerate(reader, start=2):
-        n_rows += 1
-        try:
-            loc = str(row[schema.location_id]).strip()
-            lat = float(row[schema.latitude])
-            lon = float(row[schema.longitude])
-            count = as_int(row[schema.count])
-        except (TypeError, ValueError, KeyError):
-            rejections.add(line_no, "malformed")
+    for row in reader:
+        if not row:
             continue
-        if not loc:
-            rejections.add(line_no, "malformed")
+        n_rows += 1
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        loc, lat, lon, hour, count = pick(row)
+        loc = loc.strip()
+        try:
+            lat = float(lat)
+            lon = float(lon)
+            count = float(count)
+        except ValueError:
+            reject(reader.line_num, "malformed")
+            continue
+        # Counts must be integral: "120.0" is accepted, a truncatable "120.7" is not.
+        if not loc or not count.is_integer():
+            reject(reader.line_num, "malformed")
             continue
         if count < 0:
-            rejections.add(line_no, "negative count")
+            reject(reader.line_num, "negative count")
             continue
         try:
-            hour = as_int(row[schema.hour])
-            if not (0 <= hour <= 23):
-                raise ValueError(row[schema.hour])
-        except (TypeError, ValueError, KeyError):
-            rejections.add(line_no, "unmappable hour")
+            hour = float(hour)
+        except ValueError:
+            reject(reader.line_num, "unmappable hour")
+            continue
+        if not (hour.is_integer() and 0 <= hour <= 23):
+            reject(reader.line_num, "unmappable hour")
             continue
         if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            rejections.add(line_no, "coordinates out of range")
+            reject(reader.line_num, "coordinates out of range")
             continue
-        records.append(TrafficRecord(loc, lat, lon, hour, count, period_label))
+        locs.append(loc)
+        lats.append(lat)
+        lons.append(lon)
+        hours.append(hour)
+        counts.append(count)
 
     if n_rows == 0:
         raise EmptyInputError("input has a header but no data rows")
-    return ParseResult(records, rejections)
+    table = RecordTable(
+        location_ids=np.array(locs, dtype=object),
+        latitude=np.array(lats, dtype=float),
+        longitude=np.array(lons, dtype=float),
+        hour=np.array(hours, dtype=float).astype(np.int64),
+        count=np.array(counts, dtype=float),
+        period_label=period_label,
+    )
+    return ParseResult(table, rejections)
 
 
-def build_matrix(records: list[TrafficRecord], window: HourWindow | None = None) -> CountMatrix:
+def build_matrix(
+    records: RecordTable | Iterable[TrafficRecord], window: HourWindow | None = None
+) -> CountMatrix:
     """Sum records into a location-by-hour count matrix over the given window.
 
     Entry (i, j) is the cumulative count for location i at hour bin j;
     (location, hour) cells with no record are 0. The result is independent
-    of the input record order.
+    of the input record order. A sequence of TrafficRecord objects is
+    first collected into a RecordTable.
     """
     window = window or HourWindow()
-    in_window = [r for r in records if r.hour in window]
-    if not in_window:
+    table = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
+    keep = (table.hour >= window.start) & (table.hour <= window.end)
+    if not keep.any():
         raise EmptyInputError("no records inside the hour window")
 
-    periods = {r.period_label for r in in_window}
-    if len(periods) > 1:
-        raise MixedPeriodsError(f"records span multiple periods: {sorted(periods)}")
+    # Sorting the distinct ids in Python keeps str ordering exact; numpy's
+    # fixed-width strings would drop trailing NULs.
+    loc_ids = table.location_ids[keep].tolist()
+    ids = sorted(set(loc_ids))
+    row_of = {loc_id: i for i, loc_id in enumerate(ids)}
+    n_hours = window.end - window.start + 1
+    loc = np.array([row_of[loc_id] for loc_id in loc_ids], dtype=np.int64)
+    cell = loc * n_hours + (table.hour[keep] - window.start)
+    count = table.count[keep]
+    lat = table.latitude[keep]
+    lon = table.longitude[keep]
+    # One order fixes both each location's coordinates (its first record)
+    # and the order in which each cell's counts are summed, so neither
+    # depends on the input order.
+    order = np.lexsort((lon, lat, count, cell))
+    cell = cell[order]
+    first = order[np.flatnonzero(np.diff(loc[order], prepend=-1))]
 
-    # Sorting first makes aggregation and coordinate selection independent
-    # of input order.
-    in_window.sort(key=lambda r: (r.location_id, r.hour, r.count, r.latitude, r.longitude))
-
-    hours = window.hours()
-    col_of = {h: j for j, h in enumerate(hours)}
-    locations: list[tuple[str, float, float]] = []
-    row_of: dict[str, int] = {}
-    for r in in_window:
-        if r.location_id not in row_of:
-            row_of[r.location_id] = len(locations)
-            locations.append((r.location_id, r.latitude, r.longitude))
-
-    values = np.zeros((len(locations), len(hours)))
-    for r in in_window:
-        values[row_of[r.location_id], col_of[r.hour]] += r.count
-
-    return CountMatrix(values, locations, hours, period_label=periods.pop())
+    values = np.bincount(cell, weights=count[order], minlength=len(ids) * n_hours)
+    locations = list(zip(ids, lat[first].tolist(), lon[first].tolist()))
+    return CountMatrix(values.reshape(len(ids), n_hours), locations, window.hours(),
+                       period_label=table.period_label)
 
 
 def minmax_normalize(m: CountMatrix) -> NormalizedMatrix:

@@ -50,7 +50,10 @@ def read_count_matrix(path: Path | str, period_label: str | None = None) -> Coun
     """Read a matrix table written by write_count_matrix.
 
     The period label defaults to the file stem since the table itself does
-    not carry one.
+    not carry one. Raises DataError, naming the file and line, on a row
+    with the wrong number of cells, a non-numeric cell, a repeated
+    location id, a negative count or coordinates out of range. NaN and
+    infinite counts are left for the solver to reject.
     """
     path = Path(path)
     if not path.exists():
@@ -68,18 +71,47 @@ def read_count_matrix(path: Path | str, period_label: str | None = None) -> Coun
             if not (name.startswith("h") and name[1:].isdigit()):
                 raise DataError(f"unexpected hour column {name!r} in {path}")
             hours.append(int(name[1:]))
-        locations: list[tuple[str, float, float]] = []
+        ids: list[str] = []
         rows: list[list[float]] = []
+        lines: list[int] = []
         for row in reader:
             if not row:
                 continue
-            locations.append((row[0], float(row[1]), float(row[2])))
-            rows.append([float(v) for v in row[3:]])
+            if len(row) != len(header):
+                raise DataError(f"{path}, line {reader.line_num}: "
+                                f"{len(row)} cells, header has {len(header)}")
+            try:
+                rows.append([float(v) for v in row[1:]])
+            except ValueError as e:
+                raise DataError(f"{path}, line {reader.line_num}: {e}") from None
+            ids.append(row[0])
+            lines.append(reader.line_num)
     if not rows:
         raise DataError(f"{path} has no data rows")
+    table = np.array(rows)
+    lat, lon, values = table[:, 0], table[:, 1], table[:, 2:]
+
+    def fail(row: int, what: str) -> DataError:
+        return DataError(f"{path}, line {lines[row]}: {what}")
+
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for i, loc_id in enumerate(ids):
+            if loc_id in seen:
+                raise fail(i, f"location id {loc_id!r} appears more than once")
+            seen.add(loc_id)
+    # Negated so that NaN coordinates count as out of range.
+    bad = np.flatnonzero(~((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)))
+    if len(bad):
+        i = bad[0]
+        raise fail(i, f"coordinates ({float(lat[i])!r}, {float(lon[i])!r}) out of range")
+    negative = np.argwhere((values < 0) & np.isfinite(values))
+    if len(negative):
+        i, j = negative[0]
+        raise fail(i, f"negative count {float(values[i, j])!r}")
     return CountMatrix(
-        values=np.array(rows),
-        locations=locations,
+        values=values.copy(),
+        locations=list(zip(ids, lat.tolist(), lon.tolist())),
         hours=hours,
         period_label=period_label if period_label is not None else path.stem,
     )
@@ -158,7 +190,11 @@ def write_spatial_geojson(path: Path | str, patterns: PatternSet) -> None:
             "geometry": {"type": "Point", "coordinates": [float(lon), float(lat)]},
             "properties": properties,
         })
-    _write_json(path, {"type": "FeatureCollection", "features": features})
+    # Compact separators without an indent let json use its C encoder; map
+    # tools do not need the file to be readable by eye.
+    text = json.dumps({"type": "FeatureCollection", "features": features},
+                      separators=(",", ":"), sort_keys=True)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _plabel(index: int) -> str:

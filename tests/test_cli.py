@@ -68,6 +68,16 @@ def test_factorize_non_finite_table_exits_3(tmp_path, capsys):
     assert not (tmp_path / "A_diagnostics.json").exists()
 
 
+def test_factorize_invalid_table_exits_2(tmp_path, capsys):
+    table = tmp_path / "bad.csv"
+    table.write_text("location_id,latitude,longitude,h07,h08\nL1,999,0,3,-4\nL1,50,0,1,2\n")
+    code = run_cli("factorize", "--input-a", str(table), "--rank-a", "1",
+                   "--label-a", "A", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "line 3: location id 'L1' appears more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "A_location_loadings.csv").exists()
+
+
 def test_rank_scan_without_fitting_rank_exits_1(tmp_path, capsys):
     rows = [[(i * 7 + j * 3) % 11 for j in range(12)] for i in range(30)]
     table = write_count_table(tmp_path / "twelve.csv", rows)

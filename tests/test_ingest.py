@@ -1,12 +1,17 @@
+import csv
+import io
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trafficnmf.errors import EmptyInputError, MissingColumnError, MixedPeriodsError
+from trafficnmf.errors import DataError, EmptyInputError, MissingColumnError, MixedPeriodsError
 from trafficnmf.ingest import (
     ColumnMapping,
     HourWindow,
+    RejectionSummary,
     TrafficRecord,
     build_matrix,
     minmax_normalize,
@@ -23,8 +28,9 @@ def rec(loc, hour, count, period="A", lat=51.0, lon=-0.1):
 def test_parse_single_row():
     result = parse_records(HEADER + "\n941,51.5,-0.1,7,120\n")
     assert len(result.records) == 1
-    r = result.records[0]
-    assert (r.location_id, r.latitude, r.longitude, r.hour, r.count) == ("941", 51.5, -0.1, 7, 120)
+    t = result.records
+    assert (t.location_ids[0], t.latitude[0], t.longitude[0], t.hour[0], t.count[0]) == (
+        "941", 51.5, -0.1, 7, 120)
     assert result.rejections.total == 0
 
 
@@ -48,7 +54,7 @@ def test_parse_rejects_bad_hour_and_coordinates():
             + "\n4,51.5,-0.1,7.5,10"       # fractional hour
             + "\n5,51.5,-0.1,7,12.7\n")    # fractional count
     result = parse_records(text)
-    assert result.records == []
+    assert len(result.records) == 0
     assert result.rejections.total == 5
     assert result.rejections.by_reason["unmappable hour"] == 3
     assert result.rejections.by_reason["coordinates out of range"] == 1
@@ -57,8 +63,8 @@ def test_parse_rejects_bad_hour_and_coordinates():
 
 def test_parse_accepts_integral_float_formatting():
     result = parse_records(HEADER + "\n941,51.5,-0.1,7.0,120.0\n")
-    r = result.records[0]
-    assert (r.hour, r.count) == (7, 120)
+    t = result.records
+    assert (t.hour[0], t.count[0]) == (7, 120)
 
 
 def test_parse_missing_column():
@@ -70,12 +76,12 @@ def test_parse_custom_schema_and_delimiter():
     schema = ColumnMapping(location_id="site", latitude="lat", longitude="lon",
                            hour="hr", count="vehicles", delimiter=";")
     result = parse_records("site;lat;lon;hr;vehicles\nx1;50.0;1.0;9;42\n", schema)
-    assert result.records[0].count == 42
+    assert result.records.count[0] == 42
 
 
 def test_parse_sets_period_label():
     result = parse_records(HEADER + "\n941,51.5,-0.1,7,120\n", period_label="2019")
-    assert result.records[0].period_label == "2019"
+    assert result.records.period_label == "2019"
 
 
 def test_parse_tolerates_extra_columns():
@@ -87,7 +93,7 @@ def test_parse_tolerates_extra_columns():
         "941,2019,3,M4,51.5,-0.1,7,S,9,95\n"
     )
     result = parse_records(text)
-    assert [r.count for r in result.records] == [120, 95]
+    assert result.records.count.tolist() == [120, 95]
     m = build_matrix(result.records)
     assert m.values[0, 0] == 215.0
 
@@ -184,3 +190,179 @@ def test_minmax_bounds_and_roundtrip():
         back = x.denormalize()
         scale = max(1.0, np.abs(m.values).max())
         assert np.abs(back - m.values).max() / scale < 1e-9
+
+
+def test_parse_short_row_missing_location_is_malformed():
+    text = "latitude,longitude,hour,all_motor_vehicles,count_point_id\n51,0,7,5,L2\n51,0,7,5\n"
+    result = parse_records(text)
+    assert build_matrix(result.records).row_labels == ["L2"]
+    assert result.rejections.by_reason == {"malformed": 1}
+
+
+def test_parse_short_row_missing_hour_is_unmappable_hour():
+    text = "count_point_id,latitude,longitude,all_motor_vehicles,hour\nL1,51,0,5\n"
+    result = parse_records(text)
+    assert result.rejections.by_reason == {"unmappable hour": 1}
+
+
+def test_parse_repeated_mapped_column_is_data_error():
+    text = "count_point_id,latitude,longitude,hour,hour,all_motor_vehicles\nL1,51,0,7,8,5\n"
+    with pytest.raises(DataError, match="'hour'"):
+        parse_records(text)
+
+
+def test_rejection_samples_count_blank_lines():
+    text = HEADER + "\n1,51.5,-0.1,7,10\n\n\n2,51.5,-0.1,7,-3\n"
+    result = parse_records(text)
+    assert result.rejections.samples == [(5, "negative count")]
+
+
+def test_rejection_samples_count_lines_inside_quoted_fields():
+    text = ("count_point_id,road_name,latitude,longitude,hour,all_motor_vehicles\n"
+            '1,"A4\nWest",51.5,-0.1,7,10\n'
+            "2,M4,51.5,-0.1,7,-3\n")
+    result = parse_records(text)
+    assert result.rejections.samples == [(4, "negative count")]
+
+
+def reference_parse_and_build(text, schema, label, window):
+    """Row-object parse and sorted-loop aggregation, as before the columnar path,
+    with short rows' missing location read as empty and lines counted physically."""
+    reader = csv.DictReader(io.StringIO(text), delimiter=schema.delimiter)
+    for name in schema.required():
+        if name not in reader.fieldnames:
+            raise MissingColumnError(name)
+
+    def as_int(raw):
+        v = float(raw)
+        if not v.is_integer():
+            raise ValueError(raw)
+        return int(v)
+
+    records, rejections, n_rows = [], RejectionSummary(), 0
+    for row in reader:
+        n_rows += 1
+        line_no = reader.reader.line_num
+        try:
+            loc = (row[schema.location_id] or "").strip()
+            lat, lon = float(row[schema.latitude]), float(row[schema.longitude])
+            count = as_int(row[schema.count])
+        except (TypeError, ValueError):
+            rejections.add(line_no, "malformed")
+            continue
+        if not loc:
+            rejections.add(line_no, "malformed")
+        elif count < 0:
+            rejections.add(line_no, "negative count")
+        else:
+            try:
+                hour = as_int(row[schema.hour])
+                if not (0 <= hour <= 23):
+                    raise ValueError(hour)
+            except (TypeError, ValueError):
+                rejections.add(line_no, "unmappable hour")
+                continue
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                rejections.add(line_no, "coordinates out of range")
+            else:
+                records.append(TrafficRecord(loc, lat, lon, hour, count, label))
+    if n_rows == 0:
+        raise EmptyInputError("no rows")
+
+    in_window = sorted((r for r in records if r.hour in window),
+                       key=lambda r: (r.location_id, r.hour, r.count, r.latitude, r.longitude))
+    if not in_window:
+        raise EmptyInputError("empty window")
+    locations, row_of = [], {}
+    for r in in_window:
+        if r.location_id not in row_of:
+            row_of[r.location_id] = len(locations)
+            locations.append((r.location_id, r.latitude, r.longitude))
+    values = np.zeros((len(locations), len(window.hours())))
+    for r in in_window:
+        values[row_of[r.location_id], r.hour - window.start] += r.count
+    return records, rejections, values, locations
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (EmptyInputError, MissingColumnError) as e:
+        return type(e).__name__
+
+
+def _mostly(valid, odd):
+    """Mostly valid field text, so that most rows are accepted."""
+    return st.integers(0, 11).flatmap(lambda k: odd if k == 11 else valid)
+
+
+_FIELDS = {
+    "location_id": _mostly(st.sampled_from(["L1", "L2", "L10", "b", " L1 ", "L2\t"]),
+                           st.sampled_from(["", "  "])),
+    "latitude": _mostly(
+        st.one_of(st.floats(-90, 90).map(repr), st.sampled_from(["0", "-0", " 12 "])),
+        st.sampled_from(["91", "-95.5", "nan", "inf", "x", ""])),
+    "longitude": _mostly(
+        st.one_of(st.floats(-180, 180).map(repr), st.sampled_from(["-0", "1e1"])),
+        st.sampled_from(["-181", "-inf", "", "y"])),
+    "hour": _mostly(st.one_of(st.integers(0, 23).map(str), st.sampled_from(["7.0", "-0", " 9 "])),
+                    st.sampled_from(["24", "-1", "7.5", "nan", "inf", "", "seven"])),
+    "count": _mostly(
+        st.one_of(st.integers(0, 600).map(str), st.integers(2**52, 2**60).map(str),
+                  st.sampled_from(["7.0", "-0", "1e20"])),
+        st.sampled_from(["-3", "-12", "2.5", "nan", "inf", "", "many"])),
+}
+_EXTRA = st.text(alphabet="ab ,;|\t\"\n", max_size=4)
+
+
+@st.composite
+def raw_tables(draw):
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
+    schema = ColumnMapping(delimiter=delimiter)
+    roles = draw(st.permutations(list(_FIELDS) + ["road_name", "direction"]))
+    names = [getattr(schema, role, role) for role in roles]
+    full_row = st.tuples(*(_FIELDS.get(role, _EXTRA) for role in roles)).map(list)
+    # Some rows are cut short and followed by a blank line.
+    row = st.tuples(full_row, st.integers(0, 9), st.integers(1, len(roles) - 1)).map(
+        lambda r: (r[0][:r[2]], True) if r[1] == 9 else (r[0], False))
+    rows = draw(st.lists(row, min_size=8, max_size=30))
+    # Repeat some rows so (location, hour) cells get several records.
+    rows = draw(st.permutations(rows + draw(st.lists(st.sampled_from(rows), max_size=10))))
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(names)
+    for fields, blank_after in rows:
+        writer.writerow(fields)
+        if blank_after:
+            out.write("\n")
+    start = draw(st.integers(0, 23))
+    window = draw(st.sampled_from([HourWindow(0, 23), HourWindow(), HourWindow(start, 23)]))
+    return out.getvalue(), schema, window
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_tables())
+def test_columnar_ingest_matches_record_reference(table):
+    text, schema, window = table
+
+    def columnar():
+        result = parse_records(text, schema, period_label="P")
+        return result, build_matrix(result.records, window)
+
+    def reference():
+        return reference_parse_and_build(text, schema, "P", window)
+
+    got, want = _outcome(columnar), _outcome(reference)
+    if isinstance(want, str):
+        assert got == want
+        return
+    result, m = got
+    records, rejections, values, locations = want
+    assert len(result.records) == len(records)
+    assert result.rejections == rejections
+    # The same rows handed over as record objects take the same path.
+    for built in (m, build_matrix(records, window)):
+        assert np.array_equal(built.values, values)
+        assert repr(built.locations) == repr(locations)
+        assert built.hours == window.hours()
+        assert built.period_label == "P"

@@ -52,6 +52,29 @@ def test_read_count_matrix_rejects_foreign_table(tmp_path):
         tio.read_count_matrix(path)
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["L1,50,0,1,2", "L2,50,0,1"], "line 3: 4 cells, header has 5"),
+    (["L1,50,0,1,2", "", "L2,50,0,1,many"], "line 4: could not convert"),
+    (["L1,50,0,1,2", "L1,51,0,1,2"], "line 3: location id 'L1' appears more than once"),
+    (["L1,50,0,1,2", "L2,999,0,1,2"], "line 3: coordinates (999.0, 0.0) out of range"),
+    (["L1,50,0,1,2", "L2,50,nan,1,2"], "line 3: coordinates (50.0, nan) out of range"),
+    (["L1,50,0,1,2", "L2,50,0,-4,2"], "line 3: negative count -4.0"),
+])
+def test_read_count_matrix_rejects_bad_rows(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["location_id,latitude,longitude,h07,h08"] + rows) + "\n")
+    with pytest.raises(DataError) as excinfo:
+        tio.read_count_matrix(path)
+    assert str(excinfo.value).startswith(f"{path}, {message}")
+
+
+def test_read_count_matrix_leaves_non_finite_counts_to_the_solver(tmp_path):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("location_id,latitude,longitude,h07,h08\nL1,50,0,nan,2\nL2,50,0,-inf,2\n")
+    m = tio.read_count_matrix(path)
+    assert np.isnan(m.values[0, 0]) and m.values[1, 0] == -np.inf
+
+
 def test_factor_and_pattern_exports(tmp_path, matrix):
     x = minmax_normalize(matrix)
     cfg = NmfConfig(rank=3, seed=11)
