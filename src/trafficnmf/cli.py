@@ -3,8 +3,8 @@
 Settings come from flags, an optional JSON config file, or built-in
 defaults, in that order of precedence. All outputs are deterministic for
 a fixed config: every random choice derives from the single seed, fanned
-out per stage (each factorization at rank r uses seed + r, synthetic
-period B uses seed + 1).
+out per stage (each factorization at rank r is seeded by
+NmfConfig.at_rank, synthetic period B uses seed + 1).
 """
 
 from __future__ import annotations
@@ -18,8 +18,16 @@ from pathlib import Path
 
 from . import io as tio
 from .errors import ConfigError, DataError, MissingInputError, NumericalError, TrafficNmfError
-from .ingest import ColumnMapping, CountMatrix, HourWindow, build_matrix, minmax_normalize, parse_records
-from .nmf import INIT_NNDSVD, INIT_RANDOM, FactorPair, NmfConfig, factorize
+from .ingest import (
+    ColumnMapping,
+    CountMatrix,
+    HourWindow,
+    NormalizedMatrix,
+    build_matrix,
+    minmax_normalize,
+    parse_records,
+)
+from .nmf import INIT_RANDOM, FactorPair, NmfConfig, factorize
 from .patterns import (
     DEFAULT_MATCH_THRESHOLD,
     compare_periods,
@@ -27,23 +35,58 @@ from .patterns import (
     match_patterns,
     normalization_column_scales,
 )
-from .rank import POINTS_FACTOR, POINTS_MATRIX, TARGET_LOCATION, TARGET_TIME, rank_scan
+from .rank import POINTS_FACTOR, POINTS_MATRIX, rank_scan
 from .synth import SyntheticSpec, SyntheticPeriod, generate_pair, generate_period
 
-_DEFAULTS = {
-    "label_a": "A",
-    "label_b": "B",
-    "hours": "7..18",
-    "ranks": "2..8",
-    "seed": 0,
-    "tol": 1e-5,
-    "max_iters": 500,
-    "init": INIT_RANDOM,
-    "threshold": DEFAULT_MATCH_THRESHOLD,
-    "out": ".",
-    "target": TARGET_LOCATION,
-    "points": POINTS_FACTOR,
+
+def _parse_span(text) -> tuple[int, int]:
+    try:
+        lo, hi = str(text).split("..")
+        lo_i, hi_i = int(lo), int(hi)
+    except ValueError:
+        raise ValueError("must look like '2..8'") from None
+    if lo_i > hi_i:
+        raise ValueError("the range is empty")
+    return lo_i, hi_i
+
+
+def _integer(value) -> int:
+    # int() would truncate a config file's 6.7 to 6.
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
+
+
+# Every setting a flag or config-file key can give: key -> (conversion,
+# default, help). The flag is the key with dashes; None means unset.
+_SETTINGS = {
+    "input_a": (str, None, "period A input: raw records, or a count table "
+                           "for rank-scan and factorize"),
+    "input_b": (str, None, "period B raw records"),
+    "label_a": (str, "A", "period A label"),
+    "label_b": (str, "B", "period B label"),
+    "out": (Path, ".", "output directory"),
+    "seed": (_integer, 0, "base random seed"),
+    "hours": (_parse_span, "7..18", "inclusive clock-hour window"),
+    "ranks": (_parse_span, "2..8", "rank scan range"),
+    "rank_a": (_integer, None, "fixed period A rank (run skips A's scan)"),
+    "rank_b": (_integer, None, "fixed period B rank (skips B's scan)"),
+    "points": (str, POINTS_FACTOR, f"dispersion points: {POINTS_FACTOR} rows "
+                                   f"or {POINTS_MATRIX} rows"),
+    "tol": (float, 1e-5, "relative loss-change stopping tolerance"),
+    "max_iters": (_integer, 500, "iteration cap per factorization"),
+    "init": (str, INIT_RANDOM, "factor initialization: random or nndsvd"),
+    "threshold": (float, DEFAULT_MATCH_THRESHOLD, "pattern-match cosine threshold"),
+    "locations": (_integer, 60, "number of locations"),
+    "rank": (_integer, 3, "planted rank"),
+    "noise": (float, 0.0, "relative Frobenius noise level"),
+    "pair_drop": (_integer, None, "also emit a period B missing this many of A's patterns"),
+    "pair_scale": (float, 0.5, "period B grand total as a fraction of A's"),
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 @dataclass
@@ -54,39 +97,20 @@ class PipelineConfig:
     input_b: str | None
     label_a: str
     label_b: str
+    out: Path
+    seed: int
     window: HourWindow
     ranks: list[int]
     rank_a: int | None
     rank_b: int | None
-    seed: int
-    tol: float
-    max_iters: int
-    init: str
-    threshold: float
-    out: Path
-    target: str
     points: str
-
-    def nmf_template(self) -> NmfConfig:
-        return NmfConfig(rank=1, max_iters=self.max_iters, tol=self.tol,
-                         seed=self.seed, init=self.init)
-
-    def nmf_at(self, rank: int) -> NmfConfig:
-        # Same per-rank seed derivation as rank_scan, so a fixed-rank run
-        # reproduces the matching scan entry exactly.
-        return NmfConfig(rank=rank, max_iters=self.max_iters, tol=self.tol,
-                         seed=self.seed + rank, init=self.init)
-
-
-def _parse_span(text: str, what: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split("..")
-        lo_i, hi_i = int(lo), int(hi)
-    except ValueError:
-        raise ConfigError(f"{what} must look like '2..8', got {text!r}") from None
-    if lo_i > hi_i:
-        raise ConfigError(f"{what} range is empty: {text!r}")
-    return lo_i, hi_i
+    nmf: NmfConfig
+    threshold: float
+    locations: int
+    rank: int
+    noise: float
+    pair_drop: int | None
+    pair_scale: float
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -101,65 +125,48 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file {p} is not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {p} must hold a JSON object")
+    for key in cfg:
+        if key not in _SETTINGS:
+            raise ConfigError(f"config file {p} has an unknown key {key!r}")
     return cfg
 
 
 def _resolve(args: argparse.Namespace) -> PipelineConfig:
-    """Merge flags over config-file values over defaults; flags win."""
+    """Merge flags over config-file values over defaults, then convert and
+    check every value; flags win."""
     file_cfg = _load_config_file(getattr(args, "config", None))
+    values = {}
+    for key, (convert, default, _) in _SETTINGS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_cfg.get(key)
+        if value is None:
+            value = default
+        try:
+            if isinstance(value, bool):  # no setting is a switch; int(True) is 1
+                raise ValueError("not a boolean setting")
+            values[key] = None if value is None else convert(value)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{_flag(key)} has a bad value {value!r}: {e}") from None
 
-    def pick(key: str):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in file_cfg:
-            return file_cfg[key]
-        return _DEFAULTS.get(key)
-
-    lo, hi = _parse_span(str(pick("hours")), "--hours")
     try:
-        window = HourWindow(lo, hi)
+        window = HourWindow(*values.pop("hours"))
     except ValueError as e:
-        raise ConfigError(str(e)) from None
-    r_lo, r_hi = _parse_span(str(pick("ranks")), "--ranks")
-    if r_lo < 1:
-        raise ConfigError(f"ranks must be >= 1, got {r_lo}")
-
-    init = str(pick("init"))
-    if init not in (INIT_RANDOM, INIT_NNDSVD):
-        raise ConfigError(f"--init must be {INIT_RANDOM} or {INIT_NNDSVD}, got {init!r}")
-    target = str(pick("target"))
-    if target not in (TARGET_LOCATION, TARGET_TIME):
-        raise ConfigError(f"--target must be {TARGET_LOCATION} or {TARGET_TIME}")
-    points = str(pick("points"))
-    if points not in (POINTS_FACTOR, POINTS_MATRIX):
-        raise ConfigError(f"--points must be {POINTS_FACTOR} or {POINTS_MATRIX}")
-
-    threshold = float(pick("threshold"))
-    if not (0.0 <= threshold <= 1.0):
-        raise ConfigError(f"--threshold must be in [0, 1], got {threshold}")
-
+        raise ConfigError(f"--hours: {e}") from None
+    r_lo, r_hi = values.pop("ranks")
+    for key, rank in (("ranks", r_lo), ("rank_a", values["rank_a"]), ("rank_b", values["rank_b"])):
+        if rank is not None and rank < 1:
+            raise ConfigError(f"{_flag(key)} must be >= 1, got {rank}")
     try:
-        return PipelineConfig(
-            input_a=pick("input_a"),
-            input_b=pick("input_b"),
-            label_a=str(pick("label_a")),
-            label_b=str(pick("label_b")),
-            window=window,
-            ranks=list(range(r_lo, r_hi + 1)),
-            rank_a=pick("rank_a"),
-            rank_b=pick("rank_b"),
-            seed=int(pick("seed")),
-            tol=float(pick("tol")),
-            max_iters=int(pick("max_iters")),
-            init=init,
-            threshold=threshold,
-            out=Path(str(pick("out"))),
-            target=target,
-            points=points,
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad configuration value: {e}") from None
+        nmf = NmfConfig(rank=1, max_iters=values.pop("max_iters"), tol=values.pop("tol"),
+                        seed=values["seed"], init=values.pop("init"))
+    except ValueError as e:
+        raise ConfigError(f"bad solver setting: {e}") from None
+    if values["points"] not in (POINTS_FACTOR, POINTS_MATRIX):
+        raise ConfigError(f"--points must be {POINTS_FACTOR} or {POINTS_MATRIX}")
+    if not (0.0 <= values["threshold"] <= 1.0):
+        raise ConfigError(f"--threshold must be in [0, 1], got {values['threshold']}")
+    return PipelineConfig(window=window, ranks=list(range(r_lo, r_hi + 1)), nmf=nmf, **values)
 
 
 def _require_input(path_str: str | None, flag: str) -> Path:
@@ -186,6 +193,35 @@ def _counts_name(label: str) -> str:
     return f"counts_{safe}.csv"
 
 
+def _solve(cfg: PipelineConfig, x: NormalizedMatrix, label: str,
+           rank: int | None) -> tuple[NmfConfig, FactorPair]:
+    """Solver settings and factorization of one period.
+
+    A fixed rank is solved directly. Otherwise the ranks are scanned, the
+    scan table is written, and the scan's own solve at the recommended
+    rank is returned.
+    """
+    if rank is None:
+        result = rank_scan(x, cfg.ranks, cfg.nmf, points=cfg.points)
+        scan_path = cfg.out / f"rank_scan_{label}.csv"
+        tio.write_scan_table(scan_path, result)
+        print(f"{label}: scanned ranks {cfg.ranks[0]}..{cfg.ranks[-1]}, "
+              f"recommended {result.recommended_rank} (wrote {scan_path})")
+        return cfg.nmf.at_rank(result.recommended_rank), result.pairs[result.recommended_rank]
+    nmf_cfg = cfg.nmf.at_rank(rank)
+    return nmf_cfg, factorize(x, nmf_cfg)
+
+
+def _write_factors(out: Path, label: str, nmf_cfg: NmfConfig, pair: FactorPair,
+                   matrix: CountMatrix) -> None:
+    tio.write_factor_tables(
+        out / f"{label}_location_loadings.csv",
+        out / f"{label}_time_loadings.csv",
+        out / f"{label}_diagnostics.json",
+        pair, matrix, nmf_cfg,
+    )
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -207,8 +243,7 @@ def cmd_rank_scan(args: argparse.Namespace) -> int:
     path = _require_input(cfg.input_a, "--input-a")
     matrix = tio.read_count_matrix(path, period_label=cfg.label_a)
     normalized = minmax_normalize(matrix)
-    result = rank_scan(normalized, cfg.ranks, cfg.nmf_template(),
-                       target=cfg.target, points=cfg.points)
+    result = rank_scan(normalized, cfg.ranks, cfg.nmf, points=cfg.points)
     out_path = cfg.out / f"rank_scan_{cfg.label_a}.csv"
     tio.write_scan_table(out_path, result)
     print(f"wrote {out_path}")
@@ -223,92 +258,48 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     if cfg.rank_a is None:
         raise ConfigError("--rank-a is required for factorize")
     matrix = tio.read_count_matrix(path, period_label=cfg.label_a)
-    normalized = minmax_normalize(matrix)
-    nmf_cfg = cfg.nmf_at(int(cfg.rank_a))
-    pair = factorize(normalized, nmf_cfg)
-    label = cfg.label_a
-    tio.write_factor_tables(
-        cfg.out / f"{label}_location_loadings.csv",
-        cfg.out / f"{label}_time_loadings.csv",
-        cfg.out / f"{label}_diagnostics.json",
-        pair, matrix, nmf_cfg,
-    )
-    print(f"factorized {label} at rank {pair.rank}: "
+    nmf_cfg, pair = _solve(cfg, minmax_normalize(matrix), cfg.label_a, cfg.rank_a)
+    _write_factors(cfg.out, cfg.label_a, nmf_cfg, pair, matrix)
+    print(f"factorized {cfg.label_a} at rank {pair.rank}: "
           f"loss {pair.objective_trace[-1]:.6g} after {pair.iterations_run} iterations"
           f" ({'converged' if pair.converged else 'max iterations'})")
     return 0
 
 
-def _choose_rank(cfg: PipelineConfig, fixed: int | None, normalized,
-                 label: str) -> tuple[int, FactorPair | None]:
-    """The rank to factorize at, with the scan's solve at that rank.
-
-    A fixed rank skips the scan and comes back without a pair.
-    """
-    if fixed is not None:
-        return int(fixed), None
-    result = rank_scan(normalized, cfg.ranks, cfg.nmf_template(),
-                       target=cfg.target, points=cfg.points)
-    scan_path = cfg.out / f"rank_scan_{label}.csv"
-    tio.write_scan_table(scan_path, result)
-    print(f"{label}: scanned ranks {cfg.ranks[0]}..{cfg.ranks[-1]}, "
-          f"recommended {result.recommended_rank} (wrote {scan_path})")
-    return result.recommended_rank, result.pairs[result.recommended_rank]
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    stage = "setup"
+    labels = (cfg.label_a, cfg.label_b)
+    stage = "ingest"
     try:
-        stage = "ingest"
-        path_a = _require_input(cfg.input_a, "--input-a")
-        path_b = _require_input(cfg.input_b, "--input-b")
-        matrix_a = _ingest_file(path_a, cfg.label_a, cfg.window)
-        matrix_b = _ingest_file(path_b, cfg.label_b, cfg.window)
-        tio.write_count_matrix(cfg.out / _counts_name(cfg.label_a), matrix_a)
-        tio.write_count_matrix(cfg.out / _counts_name(cfg.label_b), matrix_b)
+        paths = (_require_input(cfg.input_a, "--input-a"), _require_input(cfg.input_b, "--input-b"))
+        matrices = [_ingest_file(path, label, cfg.window) for path, label in zip(paths, labels)]
+        for label, matrix in zip(labels, matrices):
+            tio.write_count_matrix(cfg.out / _counts_name(label), matrix)
 
         stage = "normalize"
-        norm_a = minmax_normalize(matrix_a)
-        norm_b = minmax_normalize(matrix_b)
+        normalized = [minmax_normalize(matrix) for matrix in matrices]
 
-        stage = "rank selection"
-        rank_a, pair_a = _choose_rank(cfg, cfg.rank_a, norm_a, cfg.label_a)
-        rank_b, pair_b = _choose_rank(cfg, cfg.rank_b, norm_b, cfg.label_b)
-
-        stage = "factorization"
-        cfg_a, cfg_b = cfg.nmf_at(rank_a), cfg.nmf_at(rank_b)
-        if pair_a is None:
-            pair_a = factorize(norm_a, cfg_a)
-        if pair_b is None:
-            pair_b = factorize(norm_b, cfg_b)
-        tio.write_factor_tables(
-            cfg.out / f"{cfg.label_a}_location_loadings.csv",
-            cfg.out / f"{cfg.label_a}_time_loadings.csv",
-            cfg.out / f"{cfg.label_a}_diagnostics.json",
-            pair_a, matrix_a, cfg_a,
-        )
-        tio.write_factor_tables(
-            cfg.out / f"{cfg.label_b}_location_loadings.csv",
-            cfg.out / f"{cfg.label_b}_time_loadings.csv",
-            cfg.out / f"{cfg.label_b}_diagnostics.json",
-            pair_b, matrix_b, cfg_b,
-        )
+        solves = []
+        for label, x, rank in zip(labels, normalized, (cfg.rank_a, cfg.rank_b)):
+            stage = "rank selection" if rank is None else "factorization"
+            solves.append(_solve(cfg, x, label, rank))
+        for label, (nmf_cfg, pair), matrix in zip(labels, solves, matrices):
+            _write_factors(cfg.out, label, nmf_cfg, pair, matrix)
 
         stage = "pattern extraction"
-        set_a = extract_patterns(pair_a, matrix_a, normalization_column_scales(norm_a))
-        set_b = extract_patterns(pair_b, matrix_b, normalization_column_scales(norm_b))
-        tio.write_temporal_patterns(cfg.out / f"temporal_patterns_{cfg.label_a}.csv", set_a)
-        tio.write_temporal_patterns(cfg.out / f"temporal_patterns_{cfg.label_b}.csv", set_b)
-        tio.write_spatial_geojson(cfg.out / f"spatial_patterns_{cfg.label_a}.geojson", set_a)
-        tio.write_spatial_geojson(cfg.out / f"spatial_patterns_{cfg.label_b}.geojson", set_b)
+        sets = [extract_patterns(pair, matrix, normalization_column_scales(x))
+                for (_, pair), matrix, x in zip(solves, matrices, normalized)]
+        for name, write in (("temporal_patterns_{}.csv", tio.write_temporal_patterns),
+                            ("spatial_patterns_{}.geojson", tio.write_spatial_geojson)):
+            for label, patterns in zip(labels, sets):
+                write(cfg.out / name.format(label), patterns)
 
         stage = "comparison"
-        match = match_patterns(set_a, set_b, cfg.threshold)
-        report = compare_periods(matrix_a, matrix_b, match, set_a, set_b)
+        match = match_patterns(*sets, cfg.threshold)
+        report = compare_periods(*matrices, match, *sets)
         tio.write_comparison_report(
-            cfg.out / "report.json", cfg.out / "summary.txt", report, set_a, set_b,
+            cfg.out / "report.json", cfg.out / "summary.txt", report, *sets,
         )
     except TrafficNmfError:
         print(f"pipeline failed during {stage}; outputs under {cfg.out} may be partial",
@@ -345,16 +336,21 @@ def _write_planted(out: Path, period: SyntheticPeriod) -> None:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    n_hours = len(cfg.window.hours())
     try:
         spec = SyntheticSpec(
-            n_locations=args.locations,
-            n_hours=n_hours,
-            planted_rank=args.rank,
-            noise_level=args.noise,
+            n_locations=cfg.locations,
+            n_hours=len(cfg.window.hours()),
+            planted_rank=cfg.rank,
+            noise_level=cfg.noise,
             seed=cfg.seed,
         )
+        if cfg.pair_drop is not None:
+            periods = list(generate_pair(
+                spec, drop=cfg.pair_drop, count_scale=cfg.pair_scale,
+                period_a=cfg.label_a, period_b=cfg.label_b, window=cfg.window,
+            ))
+        else:
+            periods = [generate_period(spec, period_label=cfg.label_a, window=cfg.window)]
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -366,20 +362,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "seed": spec.seed,
         "hours": cfg.window.hours(),
     }
-    if args.pair_drop is not None:
-        period_a, period_b = generate_pair(
-            spec, drop=args.pair_drop, count_scale=args.pair_scale,
-            period_a=cfg.label_a, period_b=cfg.label_b, window=cfg.window,
-        )
-        periods = [period_a, period_b]
+    if cfg.pair_drop is not None:
         manifest["pair"] = {
-            "drop": args.pair_drop,
-            "count_scale": args.pair_scale,
-            "rank_b": spec.planted_rank - args.pair_drop,
+            "drop": cfg.pair_drop,
+            "count_scale": cfg.pair_scale,
+            "rank_b": spec.planted_rank - cfg.pair_drop,
         }
-    else:
-        periods = [generate_period(spec, period_label=cfg.label_a, window=cfg.window)]
 
+    cfg.out.mkdir(parents=True, exist_ok=True)
     manifest["periods"] = {}
     for period in periods:
         records_path = cfg.out / f"synth_{period.period_label}.csv"
@@ -407,23 +397,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--out", help="output directory (default .)")
-    p.add_argument("--seed", type=int, help="base random seed (default 0)")
-    p.add_argument("--hours", help="inclusive hour window, e.g. 7..18")
+_SOLVER = ("tol", "max_iters", "init")
 
-
-def _add_nmf(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, help="relative loss-change stopping tolerance")
-    p.add_argument("--max-iters", dest="max_iters", type=int, help="iteration cap per factorization")
-    p.add_argument("--init", help="factor initialization: random or nndsvd")
-
-
-def _add_scan(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ranks", help="rank scan range, e.g. 2..8")
-    p.add_argument("--target", help="cluster the location-factor or time-factor rows")
-    p.add_argument("--points", help="dispersion points: factor rows or matrix rows")
+# (command, handler, help, settings beyond --config, --out, --seed and --hours)
+_COMMANDS = (
+    ("ingest", cmd_ingest, "aggregate raw count records into matrix tables",
+     ("input_a", "input_b", "label_a", "label_b")),
+    ("rank-scan", cmd_rank_scan, "score candidate ranks on an ingested matrix",
+     ("input_a", "label_a", "ranks", "points", *_SOLVER)),
+    ("factorize", cmd_factorize, "factorize an ingested matrix at a fixed rank",
+     ("input_a", "label_a", "rank_a", *_SOLVER)),
+    ("run", cmd_run, "full two-period pipeline with all exports",
+     ("input_a", "input_b", "label_a", "label_b", "ranks", "rank_a", "rank_b", "points",
+      *_SOLVER, "threshold")),
+    ("synth", cmd_synth, "generate planted-factor record files",
+     ("label_a", "label_b", "locations", "rank", "noise", "pair_drop", "pair_scale")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,60 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Elicit and compare spatio-temporal traffic patterns "
                                  "from vehicle-count records.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="aggregate raw count records into matrix tables")
-    _add_common(p)
-    p.add_argument("--input-a", dest="input_a", help="raw records file for period A")
-    p.add_argument("--input-b", dest="input_b", help="raw records file for period B")
-    p.add_argument("--label-a", dest="label_a", help="period A label (default A)")
-    p.add_argument("--label-b", dest="label_b", help="period B label (default B)")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("rank-scan", help="score candidate ranks on an ingested matrix")
-    _add_common(p)
-    _add_nmf(p)
-    _add_scan(p)
-    p.add_argument("--input-a", dest="input_a", help="count-matrix table (from ingest)")
-    p.add_argument("--label-a", dest="label_a", help="period label (default A)")
-    p.set_defaults(func=cmd_rank_scan)
-
-    p = sub.add_parser("factorize", help="factorize an ingested matrix at a fixed rank")
-    _add_common(p)
-    _add_nmf(p)
-    p.add_argument("--input-a", dest="input_a", help="count-matrix table (from ingest)")
-    p.add_argument("--label-a", dest="label_a", help="period label (default A)")
-    p.add_argument("--rank-a", dest="rank_a", type=int, help="factorization rank")
-    p.set_defaults(func=cmd_factorize)
-
-    p = sub.add_parser("run", help="full two-period pipeline with all exports")
-    _add_common(p)
-    _add_nmf(p)
-    _add_scan(p)
-    p.add_argument("--input-a", dest="input_a", help="raw records file for period A")
-    p.add_argument("--input-b", dest="input_b", help="raw records file for period B")
-    p.add_argument("--label-a", dest="label_a", help="period A label (default A)")
-    p.add_argument("--label-b", dest="label_b", help="period B label (default B)")
-    p.add_argument("--rank-a", dest="rank_a", type=int,
-                   help="fixed rank for period A (skips the scan)")
-    p.add_argument("--rank-b", dest="rank_b", type=int,
-                   help="fixed rank for period B (skips the scan)")
-    p.add_argument("--threshold", type=float, help="pattern-match cosine threshold (default 0.8)")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("synth", help="generate planted-factor record files")
-    _add_common(p)
-    p.add_argument("--locations", type=int, default=60, help="number of locations (default 60)")
-    p.add_argument("--rank", type=int, default=3, help="planted rank (default 3)")
-    p.add_argument("--noise", type=float, default=0.0,
-                   help="relative Frobenius noise level (default 0)")
-    p.add_argument("--label-a", dest="label_a", help="period A label (default A)")
-    p.add_argument("--label-b", dest="label_b", help="period B label (default B)")
-    p.add_argument("--pair-drop", dest="pair_drop", type=int,
-                   help="also emit a period B missing this many of A's patterns")
-    p.add_argument("--pair-scale", dest="pair_scale", type=float, default=0.5,
-                   help="period B grand total as a fraction of A's (default 0.5)")
-    p.set_defaults(func=cmd_synth)
-
+    for command, handler, text, keys in _COMMANDS:
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for key in ("out", "seed", "hours", *keys):
+            _, default, help_text = _SETTINGS[key]
+            if default is not None:
+                help_text += f" (default {default})"
+            p.add_argument(_flag(key), dest=key, help=help_text)
+        p.set_defaults(func=handler)
     return parser
 
 

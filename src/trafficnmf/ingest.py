@@ -169,19 +169,18 @@ class CountMatrix:
 class NormalizedMatrix:
     """Min-max normalized view of a CountMatrix, entries in [0, 1].
 
-    `scaling_params` stores the (min, max) used per column so the
-    normalization can be inverted.
+    Column j holds (count - lo[j]) / scale[j], where scale is the column's
+    max - min, or 1 for a constant column, so the normalization can be
+    inverted.
     """
 
     values: np.ndarray
-    scaling_params: list[tuple[float, float]]
+    lo: np.ndarray
+    scale: np.ndarray
     source: CountMatrix
 
     def denormalize(self) -> np.ndarray:
-        out = np.empty_like(self.values)
-        for j, (lo, hi) in enumerate(self.scaling_params):
-            out[:, j] = self.values[:, j] * (hi - lo) + lo
-        return out
+        return self.values * self.scale + self.lo
 
 
 def _column_indices(header: list[str], schema: ColumnMapping) -> list[int]:
@@ -328,19 +327,12 @@ def minmax_normalize(m: CountMatrix) -> NormalizedMatrix:
     """Rescale each hour-bin column of a count matrix into [0, 1].
 
     Column c maps via (x - min_c) / (max_c - min_c); constant columns map
-    to all zeros so no mass is invented.
+    to all zeros so no mass is invented. A NaN count makes its column NaN,
+    which the solver rejects.
     """
     if m.values.size == 0:
         raise EmptyInputError("cannot normalize an empty matrix")
-
-    values = np.empty_like(m.values, dtype=float)
-    params: list[tuple[float, float]] = []
-    for j in range(m.values.shape[1]):
-        col = m.values[:, j]
-        lo, hi = float(col.min()), float(col.max())
-        if hi > lo:
-            values[:, j] = (col - lo) / (hi - lo)
-        else:
-            values[:, j] = 0.0
-        params.append((lo, hi))
-    return NormalizedMatrix(values, params, source=m)
+    lo = m.values.min(axis=0)
+    span = m.values.max(axis=0) - lo
+    scale = np.where(span > 0, span, 1.0)
+    return NormalizedMatrix((m.values - lo) / scale, lo, scale, source=m)

@@ -50,10 +50,11 @@ def read_count_matrix(path: Path | str, period_label: str | None = None) -> Coun
     """Read a matrix table written by write_count_matrix.
 
     The period label defaults to the file stem since the table itself does
-    not carry one. Raises DataError, naming the file and line, on a row
-    with the wrong number of cells, a non-numeric cell, a repeated
-    location id, a negative count or coordinates out of range. NaN and
-    infinite counts are left for the solver to reject.
+    not carry one. Raises DataError, naming the file and line, on a
+    repeated hour column, a row with the wrong number of cells, an empty
+    location id, a non-numeric cell, a repeated location id, a negative
+    count or coordinates out of range. NaN and infinite counts are left
+    for the solver to reject.
     """
     path = Path(path)
     if not path.exists():
@@ -70,6 +71,8 @@ def read_count_matrix(path: Path | str, period_label: str | None = None) -> Coun
         for name in header[3:]:
             if not (name.startswith("h") and name[1:].isdigit()):
                 raise DataError(f"unexpected hour column {name!r} in {path}")
+            if int(name[1:]) in hours:
+                raise DataError(f"{path}, line 1: hour column {name!r} appears more than once")
             hours.append(int(name[1:]))
         ids: list[str] = []
         rows: list[list[float]] = []
@@ -80,6 +83,8 @@ def read_count_matrix(path: Path | str, period_label: str | None = None) -> Coun
             if len(row) != len(header):
                 raise DataError(f"{path}, line {reader.line_num}: "
                                 f"{len(row)} cells, header has {len(header)}")
+            if not row[0].strip():
+                raise DataError(f"{path}, line {reader.line_num}: empty location id")
             try:
                 rows.append([float(v) for v in row[1:]])
             except ValueError as e:

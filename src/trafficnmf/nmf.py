@@ -24,7 +24,7 @@ the loss is computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,10 +60,18 @@ class NmfConfig:
             raise InvalidRankError(f"rank must be >= 1, got {self.rank}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol <= 0:
+        if not self.tol > 0:  # also rejects NaN
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.init not in (INIT_RANDOM, INIT_NNDSVD):
             raise ValueError(f"unknown init scheme {self.init!r}")
+
+    def at_rank(self, rank: int) -> NmfConfig:
+        """These settings at `rank`, seeded with seed + rank.
+
+        Every rank draws its own start, and a fixed-rank solve reproduces
+        the rank scan's solve at that rank.
+        """
+        return replace(self, rank=rank, seed=self.seed + rank)
 
 
 @dataclass

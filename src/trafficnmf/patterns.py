@@ -95,7 +95,7 @@ def normalization_column_scales(x: NormalizedMatrix) -> np.ndarray:
 
     Constant columns get scale 1 so they pass through unchanged.
     """
-    return np.array([hi - lo if hi > lo else 1.0 for lo, hi in x.scaling_params])
+    return x.scale
 
 
 def extract_patterns(

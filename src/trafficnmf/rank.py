@@ -10,7 +10,7 @@ the rank with the highest finite ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -18,9 +18,6 @@ import numpy as np
 from .errors import DegenerateClusteringError, InvalidRankError, NumericalError, TrafficNmfError
 from .ingest import NormalizedMatrix
 from .nmf import FactorPair, NmfConfig, factorize
-
-TARGET_LOCATION = "location-factor"
-TARGET_TIME = "time-factor"
 
 POINTS_FACTOR = "factor"
 POINTS_MATRIX = "matrix"
@@ -38,9 +35,6 @@ class ClusterAssignment:
     k: int
     source: str
 
-    def populated(self) -> int:
-        return len(np.unique(self.labels))
-
 
 @dataclass(frozen=True)
 class RankScanEntry:
@@ -56,12 +50,11 @@ class RankScanResult:
     """Scan table, recommendation, and each scanned rank's factorization.
 
     pairs[r] is the FactorPair the scan computed at rank r, identical to
-    factorize at seed cfg.seed + r, so callers need not solve it again.
+    factorize at cfg.at_rank(r), so callers need not solve it again.
     """
 
     entries: list[RankScanEntry]
     recommended_rank: int
-    target: str
     points: str
     pairs: dict[int, FactorPair]
 
@@ -72,7 +65,7 @@ class RankScanResult:
         raise KeyError(f"no scan entry for rank {rank}")
 
 
-def assign_clusters(factor: np.ndarray, source: str = TARGET_LOCATION) -> ClusterAssignment:
+def assign_clusters(factor: np.ndarray, source: str = "location-factor") -> ClusterAssignment:
     """Assign each row to the column index of its maximum loading.
 
     Ties break toward the lowest column index (np.argmax convention).
@@ -90,16 +83,7 @@ def within_dispersion(points: np.ndarray, assignment: ClusterAssignment) -> floa
     Trace of the pooled within-cluster scatter matrix. Empty clusters
     contribute zero.
     """
-    points = np.asarray(points, dtype=float)
-    _check_coverage(points, assignment)
-    total = 0.0
-    for g in range(assignment.k):
-        members = points[assignment.labels == g]
-        if members.shape[0] == 0:
-            continue
-        centroid = members.mean(axis=0)
-        total += float(((members - centroid) ** 2).sum())
-    return total
+    return _dispersions(points, assignment)[0]
 
 
 def between_dispersion(points: np.ndarray, assignment: ClusterAssignment) -> float:
@@ -107,18 +91,7 @@ def between_dispersion(points: np.ndarray, assignment: ClusterAssignment) -> flo
 
     Trace of the between-cluster scatter matrix.
     """
-    points = np.asarray(points, dtype=float)
-    _check_coverage(points, assignment)
-    global_centroid = points.mean(axis=0)
-    total = 0.0
-    for g in range(assignment.k):
-        members = points[assignment.labels == g]
-        n_g = members.shape[0]
-        if n_g == 0:
-            continue
-        centroid = members.mean(axis=0)
-        total += n_g * float(((centroid - global_centroid) ** 2).sum())
-    return total
+    return _dispersions(points, assignment)[1]
 
 
 def calinski_harabasz(points: np.ndarray, assignment: ClusterAssignment) -> float:
@@ -127,16 +100,37 @@ def calinski_harabasz(points: np.ndarray, assignment: ClusterAssignment) -> floa
     Returns positive infinity when the within-dispersion is exactly zero.
     Raises DegenerateClusteringError for k < 2 or n <= k.
     """
+    w, b, k_eff = _dispersions(points, assignment)
+    return _ch_score(w, b, k_eff, len(assignment.labels))
+
+
+def _dispersions(points: np.ndarray, assignment: ClusterAssignment) -> tuple[float, float, int]:
+    """Within and between dispersion and the number of populated clusters.
+
+    One pass over the populated clusters, each centroid computed once.
+    """
     points = np.asarray(points, dtype=float)
     _check_coverage(points, assignment)
-    n = points.shape[0]
-    k_eff = assignment.populated()
+    global_centroid = points.mean(axis=0)
+    within = between = 0.0
+    k_eff = 0
+    for g in range(assignment.k):
+        members = points[assignment.labels == g]
+        n_g = members.shape[0]
+        if n_g == 0:
+            continue
+        k_eff += 1
+        centroid = members.mean(axis=0)
+        within += float(((members - centroid) ** 2).sum())
+        between += n_g * float(((centroid - global_centroid) ** 2).sum())
+    return within, between, k_eff
+
+
+def _ch_score(w: float, b: float, k_eff: int, n: int) -> float:
     if k_eff < 2:
         raise DegenerateClusteringError(f"need >=2 populated clusters, got {k_eff}")
     if n <= k_eff:
         raise DegenerateClusteringError(f"need more points ({n}) than clusters ({k_eff})")
-    w = within_dispersion(points, assignment)
-    b = between_dispersion(points, assignment)
     if w == 0.0:
         return math.inf
     return (b / (k_eff - 1)) / (w / (n - k_eff))
@@ -146,18 +140,17 @@ def rank_scan(
     x: NormalizedMatrix | np.ndarray,
     ranks: Iterable[int],
     cfg: NmfConfig,
-    target: str = TARGET_LOCATION,
     points: str = POINTS_FACTOR,
 ) -> RankScanResult:
     """Factorize at each candidate rank and score the induced clustering.
 
-    `target` picks which factor's rows are clustered (location loadings by
-    default). `points` picks the point set the dispersions are computed
-    on: the clustered factor's own rows, or the corresponding rows of the
-    normalized input matrix for a factor-independent comparison.
+    Locations are clustered by their dominant loading. `points` picks the
+    point set the dispersions are computed on: the location factor's own
+    rows, or the rows of the normalized input matrix for a
+    factor-independent comparison.
 
-    Each rank factorizes with seed `cfg.seed + rank`, so evaluating ranks
-    in any order (or in parallel) gives identical results. A rank whose
+    Each rank factorizes with `cfg.at_rank(rank)`, so evaluating ranks in
+    any order (or in parallel) gives identical results. A rank whose
     factorization fails is skipped; a rank whose clustering is degenerate
     keeps its dispersions but gets a NaN score. The recommendation is the
     rank with the highest finite Calinski-Harabasz score.
@@ -165,8 +158,6 @@ def rank_scan(
     Raises InvalidRankError when no candidate rank is at most min(n, m);
     ranks above it are skipped when some candidate fits.
     """
-    if target not in (TARGET_LOCATION, TARGET_TIME):
-        raise ValueError(f"unknown target {target!r}")
     if points not in (POINTS_FACTOR, POINTS_MATRIX):
         raise ValueError(f"unknown points mode {points!r}")
 
@@ -179,21 +170,14 @@ def rank_scan(
     entries: list[RankScanEntry] = []
     pairs: dict[int, FactorPair] = {}
     for rank in ranks:
-        rank_cfg = replace(cfg, rank=rank, seed=cfg.seed + rank)
         try:
-            pair = factorize(x, rank_cfg)
+            pair = factorize(x, cfg.at_rank(rank))
         except TrafficNmfError:
             continue
-        factor = _target_factor(pair, target)
-        assignment = assign_clusters(factor, source=target)
-        if points == POINTS_FACTOR:
-            pts = factor
-        else:
-            pts = data if target == TARGET_LOCATION else data.T
-        w_d = within_dispersion(pts, assignment)
-        b_d = between_dispersion(pts, assignment)
+        w_d, b_d, k_eff = _dispersions(pair.w if points == POINTS_FACTOR else data,
+                                       assign_clusters(pair.w))
         try:
-            ch = calinski_harabasz(pts, assignment)
+            ch = _ch_score(w_d, b_d, k_eff, data.shape[0])
         except DegenerateClusteringError:
             ch = math.nan
         entries.append(RankScanEntry(
@@ -210,14 +194,9 @@ def rank_scan(
     return RankScanResult(
         entries=entries,
         recommended_rank=_recommend(entries),
-        target=target,
         points=points,
         pairs=pairs,
     )
-
-
-def _target_factor(pair: FactorPair, target: str) -> np.ndarray:
-    return pair.w if target == TARGET_LOCATION else pair.h
 
 
 def _recommend(entries: list[RankScanEntry]) -> int:
@@ -241,5 +220,6 @@ def _check_coverage(points: np.ndarray, assignment: ClusterAssignment) -> None:
             f"assignment covers {assignment.labels.shape[0]} rows, "
             f"points has {points.shape[0]}"
         )
-    if assignment.labels.size and assignment.labels.max() >= assignment.k:
+    labels = assignment.labels
+    if labels.size and (labels.min() < 0 or labels.max() >= assignment.k):
         raise ValueError("label out of range for k")

@@ -49,7 +49,7 @@ class SyntheticSpec:
                 f"planted_rank {self.planted_rank} out of range for "
                 f"{self.n_locations}x{self.n_hours}"
             )
-        if self.noise_level < 0:
+        if not self.noise_level >= 0:  # also rejects NaN
             raise ValueError(f"noise_level must be >= 0, got {self.noise_level}")
 
 

@@ -10,6 +10,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def exit_code(*argv):
+    """The CLI's exit status, whether main returns it or argparse exits."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as e:
+        return e.code
+
+
 @pytest.fixture
 def synth_pair(tmp_path):
     out = tmp_path / "synth"
@@ -66,6 +74,48 @@ def test_factorize_non_finite_table_exits_3(tmp_path, capsys):
     assert code == 3
     assert "infinite" in capsys.readouterr().err
     assert not (tmp_path / "A_diagnostics.json").exists()
+
+
+def test_nan_count_exits_3(tmp_path, capsys):
+    # A NaN count must reach the solver, not zero its hour column.
+    table = write_count_table(tmp_path / "nan.csv", [[3, 1, 4], [1, 5, "nan"], [2, 6, 5]])
+    assert run_cli("factorize", "--input-a", str(table), "--rank-a", "2",
+                   "--out", str(tmp_path)) == 3
+    assert "NaN" in capsys.readouterr().err
+    assert not (tmp_path / "A_time_loadings.csv").exists()
+    assert run_cli("rank-scan", "--input-a", str(table), "--ranks", "2..3",
+                   "--out", str(tmp_path)) == 3
+    assert "every candidate rank failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["run", "--max-iters", "0"], None, "max_iters must be >= 1, got 0"),
+    (["run", "--tol", "0"], None, "tol must be > 0, got 0.0"),
+    (["run", "--tol", "-1"], None, "tol must be > 0, got -1.0"),
+    (["run", "--tol", "nan"], None, "tol must be > 0, got nan"),
+    (["run"], {"rank_a": "x"}, "--rank-a has a bad value 'x'"),
+    (["run"], {"rank_a": 6.7}, "--rank-a has a bad value 6.7"),
+    (["run"], {"rank_b": True}, "--rank-b has a bad value True"),
+    (["run"], {"max_iter": 5}, "unknown key 'max_iter'"),
+    (["run"], {"target": "location-factor"}, "unknown key 'target'"),
+    (["run", "--target", "location-factor"], None, "unrecognized arguments: --target"),
+    (["synth", "--rank", "3", "--pair-drop", "3"], None, "drop must be in 0..2, got 3"),
+    (["synth", "--pair-drop", "1", "--pair-scale", "0"], None, "count_scale must be > 0"),
+    (["synth", "--noise", "nan"], None, "noise_level must be >= 0, got nan"),
+])
+def test_bad_setting_exits_1_and_writes_nothing(tmp_path, synth_pair, capsys,
+                                                argv, config, message):
+    raw_a, raw_b = synth_pair
+    if argv[0] == "run":
+        argv = [*argv, "--input-a", str(raw_a), "--input-b", str(raw_b)]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    assert exit_code(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+    assert not out.exists()
 
 
 def test_factorize_invalid_table_exits_2(tmp_path, capsys):

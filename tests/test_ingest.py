@@ -156,13 +156,21 @@ def test_minmax_column_formula():
     m = build_matrix([rec("L1", 7, 2), rec("L2", 7, 4), rec("L3", 7, 6)], HourWindow(7, 7))
     x = minmax_normalize(m)
     assert np.allclose(x.values[:, 0], [0.0, 0.5, 1.0])
-    assert x.scaling_params[0] == (2.0, 6.0)
+    assert (x.lo[0], x.lo[0] + x.scale[0]) == (2.0, 6.0)
 
 
 def test_minmax_constant_column_maps_to_zero():
     m = build_matrix([rec("L1", 7, 5), rec("L2", 7, 5), rec("L3", 7, 5)], HourWindow(7, 7))
     x = minmax_normalize(m)
     assert np.array_equal(x.values[:, 0], np.zeros(3))
+
+
+def test_minmax_keeps_nan_count_nan():
+    m = build_matrix([rec("L1", 7, 2), rec("L2", 7, 4), rec("L1", 8, 1), rec("L2", 8, 3)])
+    m.values[1, 0] = np.nan
+    x = minmax_normalize(m)
+    assert np.isnan(x.values[1, 0])
+    assert x.values[:, 1].tolist() == [0.0, 1.0]
 
 
 def test_minmax_identity_on_unit_range():
@@ -183,7 +191,8 @@ def test_minmax_bounds_and_roundtrip():
         x = minmax_normalize(m)
         assert x.values.min() >= 0.0 and x.values.max() <= 1.0
         for j in range(m.values.shape[1]):
-            lo, hi = x.scaling_params[j]
+            lo, hi = m.values[:, j].min(), m.values[:, j].max()
+            assert (x.lo[j], x.scale[j]) == (lo, hi - lo if hi > lo else 1.0)
             if hi > lo:
                 assert x.values[:, j].min() == 0.0
                 assert x.values[:, j].max() == 1.0

@@ -59,6 +59,8 @@ def test_read_count_matrix_rejects_foreign_table(tmp_path):
     (["L1,50,0,1,2", "L2,999,0,1,2"], "line 3: coordinates (999.0, 0.0) out of range"),
     (["L1,50,0,1,2", "L2,50,nan,1,2"], "line 3: coordinates (50.0, nan) out of range"),
     (["L1,50,0,1,2", "L2,50,0,-4,2"], "line 3: negative count -4.0"),
+    (["L1,50,0,1,2", ",50,0,1,2"], "line 3: empty location id"),
+    (["L1,50,0,1,2", "  ,50,0,1,2"], "line 3: empty location id"),
 ])
 def test_read_count_matrix_rejects_bad_rows(tmp_path, rows, message):
     path = tmp_path / "bad.csv"
@@ -66,6 +68,14 @@ def test_read_count_matrix_rejects_bad_rows(tmp_path, rows, message):
     with pytest.raises(DataError) as excinfo:
         tio.read_count_matrix(path)
     assert str(excinfo.value).startswith(f"{path}, {message}")
+
+
+def test_read_count_matrix_rejects_repeated_hour_column(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("location_id,latitude,longitude,h07,h07\nL1,50,0,3,4\n")
+    with pytest.raises(DataError) as excinfo:
+        tio.read_count_matrix(path)
+    assert str(excinfo.value) == f"{path}, line 1: hour column 'h07' appears more than once"
 
 
 def test_read_count_matrix_leaves_non_finite_counts_to_the_solver(tmp_path):

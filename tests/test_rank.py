@@ -89,6 +89,13 @@ def test_singleton_clusters_have_zero_within():
     assert within_dispersion(points, a) == 0.0
 
 
+def test_labels_outside_0_to_k_are_rejected():
+    for labels in ([0, 0, 1, 2], [0, -1, 1, 1]):
+        bad = ClusterAssignment(labels=np.array(labels), k=2, source="test")
+        with pytest.raises(ValueError, match="label out of range"):
+            calinski_harabasz(FOUR_POINTS, bad)
+
+
 def test_identical_points_single_cluster():
     points = np.ones((5, 3))
     a = ClusterAssignment(labels=np.zeros(5, dtype=int), k=1, source="test")
