@@ -10,10 +10,14 @@ NmfConfig.at_rank, synthetic period B uses seed + 1).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
+import traceback
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 
 from . import io as tio
@@ -30,12 +34,13 @@ from .ingest import (
 from .nmf import INIT_RANDOM, FactorPair, NmfConfig, factorize
 from .patterns import (
     DEFAULT_MATCH_THRESHOLD,
+    PatternSet,
     compare_periods,
     extract_patterns,
     match_patterns,
     normalization_column_scales,
 )
-from .rank import POINTS_FACTOR, POINTS_MATRIX, rank_scan
+from .rank import POINTS_FACTOR, POINTS_MATRIX, RankScanResult, rank_scan
 from .synth import SyntheticSpec, SyntheticPeriod, generate_pair, generate_period
 
 
@@ -188,9 +193,33 @@ def _ingest_file(path: Path, label: str, window: HourWindow) -> CountMatrix:
     return matrix
 
 
-def _counts_name(label: str) -> str:
-    safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in label)
-    return f"counts_{safe}.csv"
+def _file_label(label: str) -> str:
+    """A label as output file names carry it: every character other than a
+    letter, a digit, '-' or '_' becomes '_'."""
+    return "".join(c if c.isalnum() or c in "-_" else "_" for c in label)
+
+
+def _out_file(out: Path, name: str, label: str) -> Path:
+    return out / name.format(_file_label(label))
+
+
+def _check_labels(cfg: PipelineConfig) -> None:
+    # Two periods whose labels give the same file names would overwrite
+    # each other's outputs.
+    if _file_label(cfg.label_a) == _file_label(cfg.label_b):
+        raise ConfigError(f"--label-a {cfg.label_a!r} and --label-b {cfg.label_b!r} "
+                          f"give the same output file names")
+
+
+def _scan(cfg: PipelineConfig, x: NormalizedMatrix, label: str) -> tuple[RankScanResult, Path]:
+    """Scan the configured ranks, note each skipped rank on stderr, and
+    write the scan table."""
+    result = rank_scan(x, cfg.ranks, cfg.nmf, points=cfg.points)
+    for rank, reason in result.skipped.items():
+        print(f"{label}: rank {rank} skipped: {reason}", file=sys.stderr)
+    scan_path = _out_file(cfg.out, "rank_scan_{}.csv", label)
+    tio.write_scan_table(scan_path, result)
+    return result, scan_path
 
 
 def _solve(cfg: PipelineConfig, x: NormalizedMatrix, label: str,
@@ -202,9 +231,7 @@ def _solve(cfg: PipelineConfig, x: NormalizedMatrix, label: str,
     rank is returned.
     """
     if rank is None:
-        result = rank_scan(x, cfg.ranks, cfg.nmf, points=cfg.points)
-        scan_path = cfg.out / f"rank_scan_{label}.csv"
-        tio.write_scan_table(scan_path, result)
+        result, scan_path = _scan(cfg, x, label)
         print(f"{label}: scanned ranks {cfg.ranks[0]}..{cfg.ranks[-1]}, "
               f"recommended {result.recommended_rank} (wrote {scan_path})")
         return cfg.nmf.at_rank(result.recommended_rank), result.pairs[result.recommended_rank]
@@ -215,23 +242,24 @@ def _solve(cfg: PipelineConfig, x: NormalizedMatrix, label: str,
 def _write_factors(out: Path, label: str, nmf_cfg: NmfConfig, pair: FactorPair,
                    matrix: CountMatrix) -> None:
     tio.write_factor_tables(
-        out / f"{label}_location_loadings.csv",
-        out / f"{label}_time_loadings.csv",
-        out / f"{label}_diagnostics.json",
+        _out_file(out, "{}_location_loadings.csv", label),
+        _out_file(out, "{}_time_loadings.csv", label),
+        _out_file(out, "{}_diagnostics.json", label),
         pair, matrix, nmf_cfg,
     )
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    cfg.out.mkdir(parents=True, exist_ok=True)
     inputs = [(cfg.input_a, cfg.label_a, "--input-a")]
     if cfg.input_b is not None:
+        _check_labels(cfg)
         inputs.append((cfg.input_b, cfg.label_b, "--input-b"))
+    cfg.out.mkdir(parents=True, exist_ok=True)
     for path_str, label, flag in inputs:
         path = _require_input(path_str, flag)
         matrix = _ingest_file(path, label, cfg.window)
-        out_path = cfg.out / _counts_name(label)
+        out_path = _out_file(cfg.out, "counts_{}.csv", label)
         tio.write_count_matrix(out_path, matrix)
         print(f"wrote {out_path}")
     return 0
@@ -242,10 +270,7 @@ def cmd_rank_scan(args: argparse.Namespace) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     path = _require_input(cfg.input_a, "--input-a")
     matrix = tio.read_count_matrix(path, period_label=cfg.label_a)
-    normalized = minmax_normalize(matrix)
-    result = rank_scan(normalized, cfg.ranks, cfg.nmf, points=cfg.points)
-    out_path = cfg.out / f"rank_scan_{cfg.label_a}.csv"
-    tio.write_scan_table(out_path, result)
+    result, out_path = _scan(cfg, minmax_normalize(matrix), cfg.label_a)
     print(f"wrote {out_path}")
     print(f"recommended rank: {result.recommended_rank}")
     return 0
@@ -266,45 +291,132 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    labels = (cfg.label_a, cfg.label_b)
+def _period(cfg: PipelineConfig, path: Path, label: str,
+            rank: int | None) -> tuple[CountMatrix, PatternSet, tuple[str, str]]:
+    """Everything `run` does for one period: ingest, count table, normalize,
+    scan or fixed-rank solve, factor tables, patterns and pattern files.
+
+    Returns the count matrix, the patterns and the (stdout, stderr) text of
+    the period, captured so that a worker process never writes to the
+    shared streams. An exception leaves with `stage`, the pipeline stage it
+    came from, and `output`, the text captured until then.
+    """
+    out, err = StringIO(), StringIO()
     stage = "ingest"
     try:
-        paths = (_require_input(cfg.input_a, "--input-a"), _require_input(cfg.input_b, "--input-b"))
-        matrices = [_ingest_file(path, label, cfg.window) for path, label in zip(paths, labels)]
-        for label, matrix in zip(labels, matrices):
-            tio.write_count_matrix(cfg.out / _counts_name(label), matrix)
-
-        stage = "normalize"
-        normalized = [minmax_normalize(matrix) for matrix in matrices]
-
-        solves = []
-        for label, x, rank in zip(labels, normalized, (cfg.rank_a, cfg.rank_b)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            matrix = _ingest_file(path, label, cfg.window)
+            tio.write_count_matrix(_out_file(cfg.out, "counts_{}.csv", label), matrix)
+            stage = "normalize"
+            x = minmax_normalize(matrix)
             stage = "rank selection" if rank is None else "factorization"
-            solves.append(_solve(cfg, x, label, rank))
-        for label, (nmf_cfg, pair), matrix in zip(labels, solves, matrices):
+            nmf_cfg, pair = _solve(cfg, x, label, rank)
             _write_factors(cfg.out, label, nmf_cfg, pair, matrix)
+            stage = "pattern extraction"
+            patterns = extract_patterns(pair, matrix, normalization_column_scales(x))
+            tio.write_temporal_patterns(
+                _out_file(cfg.out, "temporal_patterns_{}.csv", label), patterns)
+            tio.write_spatial_geojson(
+                _out_file(cfg.out, "spatial_patterns_{}.geojson", label), patterns)
+    except BaseException as e:
+        e.stage, e.output = stage, (out.getvalue(), err.getvalue())
+        raise
+    return matrix, patterns, (out.getvalue(), err.getvalue())
 
-        stage = "pattern extraction"
-        sets = [extract_patterns(pair, matrix, normalization_column_scales(x))
-                for (_, pair), matrix, x in zip(solves, matrices, normalized)]
-        for name, write in (("temporal_patterns_{}.csv", tio.write_temporal_patterns),
-                            ("spatial_patterns_{}.geojson", tio.write_spatial_geojson)):
-            for label, patterns in zip(labels, sets):
-                write(cfg.out / name.format(label), patterns)
+
+def _period_worker(conn, cfg: PipelineConfig, path: Path, label: str,
+                   rank: int | None) -> None:
+    """`_period` in a worker process: sends ("ok", result) or ("error",
+    exception) back. Exceptions pickle their attributes, `stage` included."""
+    try:
+        reply = ("ok", _period(cfg, path, label, rank))
+    except Exception as e:
+        if not isinstance(e, TrafficNmfError):  # a bug: keep the worker's traceback
+            e.output = (e.output[0], e.output[1] + traceback.format_exc())
+        reply = ("error", e)
+    with conn:
+        conn.send(reply)
+
+
+def _receive(worker, conn, label: str):
+    """The worker's `_period` result; raises the worker's exception."""
+    try:
+        status, value = conn.recv()
+    except EOFError:
+        worker.join()
+        raise RuntimeError(f"the worker process of period {label} exited with code "
+                           f"{worker.exitcode} without a result") from None
+    if status == "error":
+        raise value
+    return value
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _emit(output: tuple[str, str]) -> None:
+    sys.stdout.write(output[0])
+    sys.stderr.write(output[1])
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    """Both periods, then the comparison.
+
+    With two or more CPUs, period B runs in a spawned worker process while
+    period A runs here; with one, B runs here after A. The outputs are the
+    same either way. A failure in B is raised once A is done.
+    """
+    import multiprocessing  # only `run` starts a worker; other commands skip the import
+
+    cfg = _resolve(args)
+    _check_labels(cfg)
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    stage = "ingest"
+    worker = conn = None
+    try:
+        path_a = _require_input(cfg.input_a, "--input-a")
+        period_b = (cfg, _require_input(cfg.input_b, "--input-b"), cfg.label_b, cfg.rank_b)
+        if _cpu_count() > 1:
+            ctx = multiprocessing.get_context("spawn")
+            conn, child_conn = ctx.Pipe(duplex=False)
+            # With this process's copy of the write end closed, a worker that
+            # dies without replying ends the read with EOFError, not a hang.
+            with child_conn:
+                process = ctx.Process(target=_period_worker, args=(child_conn, *period_b))
+                process.start()
+            worker = process
+        matrix_a, patterns_a, output = _period(cfg, path_a, cfg.label_a, cfg.rank_a)
+        _emit(output)
+        if worker is not None:
+            matrix_b, patterns_b, output = _receive(worker, conn, cfg.label_b)
+        else:
+            matrix_b, patterns_b, output = _period(*period_b)
+        _emit(output)
 
         stage = "comparison"
-        match = match_patterns(*sets, cfg.threshold)
-        report = compare_periods(*matrices, match, *sets)
+        match = match_patterns(patterns_a, patterns_b, cfg.threshold)
+        report = compare_periods(matrix_a, matrix_b, match, patterns_a, patterns_b)
         tio.write_comparison_report(
-            cfg.out / "report.json", cfg.out / "summary.txt", report, *sets,
+            cfg.out / "report.json", cfg.out / "summary.txt", report, patterns_a, patterns_b,
         )
-    except TrafficNmfError:
-        print(f"pipeline failed during {stage}; outputs under {cfg.out} may be partial",
-              file=sys.stderr)
+    except BaseException as e:
+        if worker is not None:
+            worker.terminate()
+        _emit(getattr(e, "output", ("", "")))
+        if isinstance(e, TrafficNmfError):
+            print(f"pipeline failed during {getattr(e, 'stage', stage)}; "
+                  f"outputs under {cfg.out} may be partial", file=sys.stderr)
         raise
+    finally:
+        if worker is not None:
+            worker.join()
+        if conn is not None:
+            conn.close()
 
     print(tio.render_summary(report), end="")
     print(f"wrote {cfg.out / 'report.json'} and {cfg.out / 'summary.txt'}")
@@ -322,12 +434,12 @@ def _write_records_csv(path: Path, period: SyntheticPeriod) -> None:
 
 def _write_planted(out: Path, period: SyntheticPeriod) -> None:
     label = period.period_label
-    with (out / f"planted_w_{label}.csv").open("w", newline="", encoding="utf-8") as f:
+    with _out_file(out, "planted_w_{}.csv", label).open("w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow([f"p{g + 1}" for g in range(period.planted_w.shape[1])])
         for row in period.planted_w:
             w.writerow([repr(float(v)) for v in row])
-    with (out / f"planted_h_{label}.csv").open("w", newline="", encoding="utf-8") as f:
+    with _out_file(out, "planted_h_{}.csv", label).open("w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["hour"] + [f"p{g + 1}" for g in range(period.planted_h.shape[1])])
         for j, hour in enumerate(period.hours):
@@ -336,6 +448,8 @@ def _write_planted(out: Path, period: SyntheticPeriod) -> None:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
+    if cfg.pair_drop is not None:
+        _check_labels(cfg)
     try:
         spec = SyntheticSpec(
             n_locations=cfg.locations,
@@ -372,7 +486,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     manifest["periods"] = {}
     for period in periods:
-        records_path = cfg.out / f"synth_{period.period_label}.csv"
+        records_path = _out_file(cfg.out, "synth_{}.csv", period.period_label)
         _write_records_csv(records_path, period)
         _write_planted(cfg.out, period)
         manifest["periods"][period.period_label] = {

@@ -327,12 +327,14 @@ def minmax_normalize(m: CountMatrix) -> NormalizedMatrix:
     """Rescale each hour-bin column of a count matrix into [0, 1].
 
     Column c maps via (x - min_c) / (max_c - min_c); constant columns map
-    to all zeros so no mass is invented. A NaN count makes its column NaN,
-    which the solver rejects.
+    to all zeros so no mass is invented. A NaN or infinite count makes its
+    column NaN, which the solver rejects.
     """
     if m.values.size == 0:
         raise EmptyInputError("cannot normalize an empty matrix")
     lo = m.values.min(axis=0)
-    span = m.values.max(axis=0) - lo
-    scale = np.where(span > 0, span, 1.0)
-    return NormalizedMatrix((m.values - lo) / scale, lo, scale, source=m)
+    # An infinite count gives inf - inf or inf / inf: NaN, left to the solver.
+    with np.errstate(invalid="ignore"):
+        span = m.values.max(axis=0) - lo
+        scale = np.where(span > 0, span, 1.0)
+        return NormalizedMatrix((m.values - lo) / scale, lo, scale, source=m)

@@ -51,12 +51,14 @@ class RankScanResult:
 
     pairs[r] is the FactorPair the scan computed at rank r, identical to
     factorize at cfg.at_rank(r), so callers need not solve it again.
+    skipped[r] is why candidate rank r has no entry.
     """
 
     entries: list[RankScanEntry]
     recommended_rank: int
     points: str
     pairs: dict[int, FactorPair]
+    skipped: dict[int, str]
 
     def entry(self, rank: int) -> RankScanEntry:
         for e in self.entries:
@@ -152,7 +154,8 @@ def rank_scan(
     Each rank factorizes with `cfg.at_rank(rank)`, so evaluating ranks in
     any order (or in parallel) gives identical results. A rank whose
     factorization fails is skipped; a rank whose clustering is degenerate
-    keeps its dispersions but gets a NaN score. The recommendation is the
+    keeps its dispersions but gets a NaN score; the result's `skipped` maps
+    each skipped rank to the error's message. The recommendation is the
     rank with the highest finite Calinski-Harabasz score.
 
     Raises InvalidRankError when no candidate rank is at most min(n, m);
@@ -169,10 +172,12 @@ def rank_scan(
             f"every candidate rank {ranks} exceeds min matrix dimension {max_rank}")
     entries: list[RankScanEntry] = []
     pairs: dict[int, FactorPair] = {}
+    skipped: dict[int, str] = {}
     for rank in ranks:
         try:
             pair = factorize(x, cfg.at_rank(rank))
-        except TrafficNmfError:
+        except TrafficNmfError as e:
+            skipped[rank] = str(e)
             continue
         w_d, b_d, k_eff = _dispersions(pair.w if points == POINTS_FACTOR else data,
                                        assign_clusters(pair.w))
@@ -196,6 +201,7 @@ def rank_scan(
         recommended_rank=_recommend(entries),
         points=points,
         pairs=pairs,
+        skipped=skipped,
     )
 
 

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import threading
 
 import pytest
 
@@ -102,6 +105,8 @@ def test_nan_count_exits_3(tmp_path, capsys):
     (["synth", "--rank", "3", "--pair-drop", "3"], None, "drop must be in 0..2, got 3"),
     (["synth", "--pair-drop", "1", "--pair-scale", "0"], None, "count_scale must be > 0"),
     (["synth", "--noise", "nan"], None, "noise_level must be >= 0, got nan"),
+    (["synth", "--pair-drop", "1", "--label-a", "X", "--label-b", "X"], None,
+     "give the same output file names"),
 ])
 def test_bad_setting_exits_1_and_writes_nothing(tmp_path, synth_pair, capsys,
                                                 argv, config, message):
@@ -316,6 +321,8 @@ def test_run_reuses_scan_factorization(tmp_path, synth_pair, monkeypatch):
         return real_factorize(x, nmf_cfg)
 
     monkeypatch.setattr(cli, "factorize", counting_factorize)
+    # Only the in-process path calls the patched function for period B.
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
     common = ["--input-a", str(raw_a), "--input-b", str(raw_b), "--label-a", "2019",
               "--label-b", "2020", "--ranks", "2..8", "--seed", "0"]
     scanned = tmp_path / "scanned"
@@ -377,3 +384,158 @@ def test_synth_same_seed_identical_files(tmp_path):
         run_cli("synth", "--rank", "3", "--noise", "0.03", "--seed", "11", "--out", str(out))
     assert (out1 / "synth_A.csv").read_bytes() == (out2 / "synth_A.csv").read_bytes()
     assert (out1 / "synth_manifest.json").read_bytes() == (out2 / "synth_manifest.json").read_bytes()
+
+
+def run_cli_within(seconds, *argv):
+    """run_cli, but a run that does not return in time fails the test
+    instead of hanging it."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((True, run_cli(*argv)))
+        except BaseException as e:
+            outcome.append((False, e))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert outcome, f"{argv[0]} did not return within {seconds} s"
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
+def tree(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("ranks", [[], ["--rank-a", "6", "--rank-b", "4"]],
+                         ids=["scanned", "fixed"])
+def test_run_worker_and_in_process_paths_agree(tmp_path, synth_pair, capsys, monkeypatch,
+                                               ranks):
+    raw_a, raw_b = synth_pair
+    outputs = {}
+    for cpus in (2, 1):  # 2 runs period B in a spawned worker, 1 in this process
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(raw_b),
+                              "--label-a", "2019", "--label-b", "2020", "--seed", "0",
+                              *ranks, "--out", str(out)) == 0
+        captured = capsys.readouterr()
+        outputs[cpus] = (tree(out), captured.out.replace(str(out), "OUT"), captured.err)
+    assert outputs[2] == outputs[1]
+    files, stdout, _ = outputs[2]
+    assert len(files) == (14 if ranks else 16)
+    lines = stdout.splitlines()
+    # Grouped by period: A's lines, then B's, then the summary.
+    assert lines[1] == "2019: 60 locations x 12 hour bins"
+    assert lines[2 if ranks else 3].endswith("synth_2020.csv: 720 records parsed, 0 rows rejected")
+    assert lines[-1] == "wrote OUT/report.json and OUT/summary.txt"
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_run_failure_in_period_b_exits_2_after_a(tmp_path, synth_pair, capsys, monkeypatch,
+                                                 cpus):
+    raw_a, _ = synth_pair
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("count_point_id,latitude,longitude,hour,all_motor_vehicles\n")
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    out = tmp_path / "out"
+    assert run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(header_only),
+                          "--rank-a", "6", "--rank-b", "4", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert "A: 60 locations x 12 hour bins" in captured.out
+    assert "pipeline failed during ingest" in captured.err
+    assert "header but no data rows" in captured.err
+    assert {"counts_A.csv", "A_location_loadings.csv", "spatial_patterns_A.geojson"} <= set(
+        p.name for p in out.iterdir())
+    assert not (out / "report.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_run_failure_in_period_a_stops_the_worker(tmp_path, synth_pair, capsys, monkeypatch):
+    _, raw_b = synth_pair
+    table = write_count_table(tmp_path / "table.csv", [[1, 2], [3, 4]])
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    # A count table is not raw records: A fails in ingest while B runs.
+    assert run_cli_within(120, "run", "--input-a", str(table), "--input-b", str(raw_b),
+                          "--out", str(tmp_path / "out")) == 2
+    assert "pipeline failed during ingest" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_run_unexpected_error_in_period_b_propagates(tmp_path, synth_pair, capsys, monkeypatch,
+                                                     cpus):
+    raw_a, _ = synth_pair
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    with pytest.raises(IsADirectoryError):
+        run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(tmp_path),
+                       "--rank-a", "6", "--rank-b", "4", "--out", str(tmp_path / "out"))
+    if cpus > 1:  # the worker's traceback is kept
+        assert "Traceback" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_that_dies_without_a_result_is_an_error():
+    ctx = multiprocessing.get_context("spawn")
+    conn, child_conn = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=os._exit, args=(7,))
+    worker.start()
+    child_conn.close()
+    worker.join(60)
+    assert worker.exitcode == 7
+    assert conn.poll(60)  # end of file, not a hang
+    with pytest.raises(RuntimeError, match="period B exited with code 7 without a result"):
+        cli._receive(worker, conn, "B")
+    conn.close()
+
+
+def test_run_sanitizes_labels_in_every_file_name(tmp_path, synth_pair, capsys):
+    raw_a, raw_b = synth_pair
+    out = tmp_path / "out"
+    assert run_cli("run", "--input-a", str(raw_a), "--input-b", str(raw_b),
+                   "--label-a", "2019/20", "--label-b", "2020 21", "--ranks", "5..7",
+                   "--out", str(out)) == 0
+    names = {p.name for p in out.iterdir()}
+    for label in ("2019_20", "2020_21"):
+        assert {f"counts_{label}.csv", f"rank_scan_{label}.csv",
+                f"{label}_location_loadings.csv", f"{label}_time_loadings.csv",
+                f"{label}_diagnostics.json", f"temporal_patterns_{label}.csv",
+                f"spatial_patterns_{label}.geojson"} <= names
+    assert all(p.is_file() for p in out.iterdir())
+    assert json.loads((out / "report.json").read_text())["period_a"]["label"] == "2019/20"
+
+
+@pytest.mark.parametrize("command", ["run", "ingest"])
+@pytest.mark.parametrize("labels", [("X", "X"), ("a/b", "a_b")])
+def test_labels_giving_the_same_file_names_exit_1(tmp_path, synth_pair, capsys,
+                                                  command, labels):
+    raw_a, raw_b = synth_pair
+    out = tmp_path / "out"
+    assert run_cli(command, "--input-a", str(raw_a), "--input-b", str(raw_b),
+                   "--label-a", labels[0], "--label-b", labels[1], "--out", str(out)) == 1
+    assert "give the same output file names" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_reports_skipped_ranks(tmp_path, capsys):
+    rows = [[(i * 7 + j * 3) % 11 for j in range(12)] for i in range(30)]
+    table = write_count_table(tmp_path / "twelve.csv", rows)
+    assert run_cli("rank-scan", "--input-a", str(table), "--ranks", "10..13",
+                   "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().err == (
+        "A: rank 13 skipped: rank 13 exceeds min matrix dimension 12\n")
+    scan_rows = (tmp_path / "rank_scan_A.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in scan_rows] == [10, 11, 12]
+
+
+def test_run_reports_skipped_ranks_of_both_periods(tmp_path, synth_pair, capsys):
+    raw_a, raw_b = synth_pair
+    assert run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(raw_b),
+                          "--ranks", "11..13", "--out", str(tmp_path / "out")) == 0
+    assert capsys.readouterr().err == (
+        "A: rank 13 skipped: rank 13 exceeds min matrix dimension 12\n"
+        "B: rank 13 skipped: rank 13 exceeds min matrix dimension 12\n")

@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,16 @@ def test_minmax_keeps_nan_count_nan():
     m = build_matrix([rec("L1", 7, 2), rec("L2", 7, 4), rec("L1", 8, 1), rec("L2", 8, 3)])
     m.values[1, 0] = np.nan
     x = minmax_normalize(m)
+    assert np.isnan(x.values[1, 0])
+    assert x.values[:, 1].tolist() == [0.0, 1.0]
+
+
+def test_minmax_infinite_count_gives_nan_without_a_warning():
+    m = build_matrix([rec("L1", 7, 2), rec("L2", 7, 4), rec("L1", 8, 1), rec("L2", 8, 3)])
+    m.values[1, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = minmax_normalize(m)
     assert np.isnan(x.values[1, 0])
     assert x.values[:, 1].tolist() == [0.0, 1.0]
 

@@ -234,6 +234,14 @@ def test_rank_scan_skips_oversize_ranks_only_when_some_fit():
         rank_scan(x, range(5, 7), NmfConfig(rank=2, seed=0))
 
 
+def test_rank_scan_lists_skipped_ranks_with_their_reason():
+    x = np.random.default_rng(8).random((20, 4))
+    result = rank_scan(x, range(3, 7), NmfConfig(rank=2, seed=0))
+    assert result.skipped == {5: "rank 5 exceeds min matrix dimension 4",
+                              6: "rank 6 exceeds min matrix dimension 4"}
+    assert rank_scan(x, range(3, 5), NmfConfig(rank=2, seed=0)).skipped == {}
+
+
 def test_rank_scan_matrix_points_share_total_scatter():
     # In matrix-points mode the scanned point set is the same at every
     # rank, so W + B must equal the one total scatter throughout.
