@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import sys
-import traceback
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
@@ -332,6 +331,8 @@ def _period_worker(conn, cfg: PipelineConfig, path: Path, label: str,
         reply = ("ok", _period(cfg, path, label, rank))
     except Exception as e:
         if not isinstance(e, TrafficNmfError):  # a bug: keep the worker's traceback
+            import traceback  # here, so the other commands do not load it
+
             e.output = (e.output[0], e.output[1] + traceback.format_exc())
         reply = ("error", e)
     with conn:

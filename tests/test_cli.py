@@ -407,10 +407,6 @@ def run_cli_within(seconds, *argv):
     return value
 
 
-def tree(directory):
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
-
-
 @pytest.mark.parametrize("ranks", [[], ["--rank-a", "6", "--rank-b", "4"]],
                          ids=["scanned", "fixed"])
 def test_run_worker_and_in_process_paths_agree(tmp_path, synth_pair, capsys, monkeypatch,
@@ -424,7 +420,8 @@ def test_run_worker_and_in_process_paths_agree(tmp_path, synth_pair, capsys, mon
                               "--label-a", "2019", "--label-b", "2020", "--seed", "0",
                               *ranks, "--out", str(out)) == 0
         captured = capsys.readouterr()
-        outputs[cpus] = (tree(out), captured.out.replace(str(out), "OUT"), captured.err)
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        outputs[cpus] = (files, captured.out.replace(str(out), "OUT"), captured.err)
     assert outputs[2] == outputs[1]
     files, stdout, _ = outputs[2]
     assert len(files) == (14 if ranks else 16)
