@@ -183,7 +183,7 @@ def _require_input(path_str: str | None, flag: str) -> Path:
 
 
 def _ingest_file(path: Path, label: str, window: HourWindow) -> CountMatrix:
-    with path.open("r", newline="", encoding="utf-8") as f:
+    with tio.read_text(path) as f:
         result = parse_records(f, ColumnMapping(), period_label=label)
     print(f"{path}: {len(result.records)} records parsed, {result.rejections.describe()}")
     matrix = build_matrix(result.records, window)
@@ -360,6 +360,23 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _start_method() -> str:
+    """How `run` starts its worker: "fork" when this process has one thread,
+    else "spawn".
+
+    A forked worker starts at once with numpy and this package already
+    imported; a spawned one imports them again first. Forking a process
+    that has other threads can leave the child holding a lock no thread
+    will release, so where the thread count cannot be read (no
+    /proc/self/task: not Linux, or no /proc) the worker is spawned too.
+    """
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return "spawn"
+    return "fork" if threads == 1 else "spawn"
+
+
 def _emit(output: tuple[str, str]) -> None:
     sys.stdout.write(output[0])
     sys.stderr.write(output[1])
@@ -368,9 +385,10 @@ def _emit(output: tuple[str, str]) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     """Both periods, then the comparison.
 
-    With two or more CPUs, period B runs in a spawned worker process while
-    period A runs here; with one, B runs here after A. The outputs are the
-    same either way. A failure in B is raised once A is done.
+    With two or more CPUs, period B runs in a worker process (started as
+    `_start_method` says) while period A runs here; with one, B runs here
+    after A. The outputs are the same either way. A failure in B is raised
+    once A is done.
     """
     import multiprocessing  # only `run` starts a worker; other commands skip the import
 
@@ -383,7 +401,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         path_a = _require_input(cfg.input_a, "--input-a")
         period_b = (cfg, _require_input(cfg.input_b, "--input-b"), cfg.label_b, cfg.rank_b)
         if _cpu_count() > 1:
-            ctx = multiprocessing.get_context("spawn")
+            ctx = multiprocessing.get_context(_start_method())
             conn, child_conn = ctx.Pipe(duplex=False)
             # With this process's copy of the write end closed, a worker that
             # dies without replying ends the read with EOFError, not a hang.

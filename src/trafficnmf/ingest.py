@@ -208,14 +208,23 @@ def parse_records(
     missing from a short row counts as empty. Blank lines are not rows.
 
     Raises MissingColumnError if the header lacks a mapped column,
-    DataError if it names a mapped column twice, and EmptyInputError if no
-    data rows are present.
+    DataError if it names a mapped column twice or if csv cannot split a
+    line (naming the line), and EmptyInputError if no data rows are
+    present.
     """
     schema = schema or ColumnMapping()
     if isinstance(stream, str):
         stream = io.StringIO(stream)
 
     reader = csv.reader(stream, delimiter=schema.delimiter)
+    try:
+        return _parse_rows(reader, schema, period_label)
+    except csv.Error as e:  # e.g. a bare "\r" in an unquoted field of a str, or a
+        # field longer than csv.field_size_limit()
+        raise DataError(f"line {reader.line_num}: {e}") from None
+
+
+def _parse_rows(reader, schema: ColumnMapping, period_label: str) -> ParseResult:
     header = next(reader, None)
     if header is None:
         raise EmptyInputError("input has no header row")

@@ -7,10 +7,13 @@ always produce identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+from collections.abc import Iterator
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -37,6 +40,31 @@ def _hour_col(hour: int) -> str:
     return f"h{hour:02d}"
 
 
+@contextlib.contextmanager
+def read_text(path: Path) -> Iterator[TextIO]:
+    """Open a delimited input file for `csv`: UTF-8, newlines left to csv.
+
+    One byte that is not UTF-8, anywhere in the file, rejects the whole
+    file: DataError naming the file and the physical line of the first such
+    byte. That line is found only on this error path, by decoding the file
+    again from its bytes.
+    """
+    with path.open("r", newline="", encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError:
+            data = path.read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as e:
+                before = data[:e.start].decode("utf-8")
+                # "\r\n", "\r" and "\n" each end a line, as for csv.
+                line = 1 + before.count("\n") + before.count("\r") - before.count("\r\n")
+                raise DataError(f"{path}, line {line}: byte {data[e.start]:#04x} is not UTF-8; "
+                                f"the whole file is rejected") from None
+            raise
+
+
 def write_count_matrix(path: Path | str, m: CountMatrix) -> None:
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as f:
@@ -50,47 +78,49 @@ def read_count_matrix(path: Path | str, period_label: str | None = None) -> Coun
     """Read a matrix table written by write_count_matrix.
 
     The period label defaults to the file stem since the table itself does
-    not carry one. Raises DataError, naming the file and line, on a
-    repeated hour column, a row with the wrong number of cells, an empty
-    location id, a non-numeric cell, a repeated location id, a negative
-    count or coordinates out of range. NaN and infinite counts are left
-    for the solver to reject.
+    not carry one. Raises DataError, naming the file and line, on a byte
+    that is not UTF-8, a line csv cannot split, a repeated hour column, a
+    row with the wrong number of cells, an empty location id, a non-numeric
+    cell, a repeated location id, a negative count or coordinates out of
+    range. NaN and infinite counts are left for the solver to reject.
     """
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"no such file: {path}")
-    with path.open("r", newline="", encoding="utf-8") as f:
+    with read_text(path) as f:
         reader = csv.reader(f)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        if header[:3] != ["location_id", "latitude", "longitude"]:
-            raise DataError(f"{path} is not a count-matrix table (header {header[:3]})")
-        hours = []
-        for name in header[3:]:
-            if not (name.startswith("h") and name[1:].isdigit()):
-                raise DataError(f"unexpected hour column {name!r} in {path}")
-            if int(name[1:]) in hours:
-                raise DataError(f"{path}, line 1: hour column {name!r} appears more than once")
-            hours.append(int(name[1:]))
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        lines: list[int] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}, line {reader.line_num}: "
-                                f"{len(row)} cells, header has {len(header)}")
-            if not row[0].strip():
-                raise DataError(f"{path}, line {reader.line_num}: empty location id")
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as e:
-                raise DataError(f"{path}, line {reader.line_num}: {e}") from None
-            ids.append(row[0])
-            lines.append(reader.line_num)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path} is empty")
+            if header[:3] != ["location_id", "latitude", "longitude"]:
+                raise DataError(f"{path} is not a count-matrix table (header {header[:3]})")
+            hours = []
+            for name in header[3:]:
+                if not (name.startswith("h") and name[1:].isdigit()):
+                    raise DataError(f"unexpected hour column {name!r} in {path}")
+                if int(name[1:]) in hours:
+                    raise DataError(f"{path}, line 1: hour column {name!r} appears more than once")
+                hours.append(int(name[1:]))
+            ids: list[str] = []
+            rows: list[list[float]] = []
+            lines: list[int] = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}, line {reader.line_num}: "
+                                    f"{len(row)} cells, header has {len(header)}")
+                if not row[0].strip():
+                    raise DataError(f"{path}, line {reader.line_num}: empty location id")
+                try:
+                    rows.append([float(v) for v in row[1:]])
+                except ValueError as e:
+                    raise DataError(f"{path}, line {reader.line_num}: {e}") from None
+                ids.append(row[0])
+                lines.append(reader.line_num)
+        except csv.Error as e:  # e.g. a field longer than csv.field_size_limit()
+            raise DataError(f"{path}, line {reader.line_num}: {e}") from None
     if not rows:
         raise DataError(f"{path} has no data rows")
     table = np.array(rows)

@@ -1,7 +1,10 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +124,32 @@ def test_bad_setting_exits_1_and_writes_nothing(tmp_path, synth_pair, capsys,
     err = capsys.readouterr().err
     assert "error: " in err and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "run", "rank-scan", "factorize"])
+def test_non_utf8_byte_exits_2_naming_file_and_line(tmp_path, synth_pair, capsys, command):
+    raw_a, raw_b = synth_pair
+    if command in ("ingest", "run"):
+        # A road name in an unmapped column, as a cp1252 re-save writes it.
+        lines = raw_b.read_bytes().splitlines()
+        lines = [lines[0] + b",road_name"] + [line + b",Aroad" for line in lines[1:]]
+        lines[6] = lines[6].replace(b"Aroad", b"A\xa3road")
+        bad = tmp_path / "bad_2020.csv"
+        argv = ["--input-a", str(raw_a), "--input-b", str(bad)]
+        if command == "run":
+            argv += ["--rank-a", "6", "--rank-b", "4"]
+    else:
+        assert run_cli("ingest", "--input-a", str(raw_a), "--out", str(tmp_path)) == 0
+        lines = (tmp_path / "counts_A.csv").read_bytes().splitlines()
+        lines[6] = b"\xa3" + lines[6]
+        bad = tmp_path / "bad_counts.csv"
+        argv = ["--input-a", str(bad)] + (["--rank-a", "6"] if command == "factorize" else [])
+    bad.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    capsys.readouterr()
+    assert run_cli_within(120, command, *argv, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}, line 7: byte 0xa3 is not UTF-8; the whole file is rejected\n" in err
+    assert "Traceback" not in err
 
 
 def test_factorize_invalid_table_exits_2(tmp_path, capsys):
@@ -407,23 +436,74 @@ def run_cli_within(seconds, *argv):
     return value
 
 
+# Forcing fork in this process forks a process with threads (run_cli_within's,
+# and BLAS's unless pinned), which Python 3.12+ warns about. `run` itself
+# forks only a single-threaded process: see test_start_method_* and
+# test_run_in_a_real_process_*.
+forks_with_threads = pytest.mark.filterwarnings(
+    "ignore:This process .* is multi-threaded:DeprecationWarning")
+PATHS = [pytest.param("fork", marks=forks_with_threads), "spawn", "in-process"]
+
+
+def take_path(monkeypatch, path):
+    """Make `run` handle period B in a forked or a spawned worker, or in this
+    process after period A."""
+    if path == "in-process":
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    else:
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_start_method", lambda: path)
+
+
+@pytest.mark.parametrize("tasks, method", [
+    (["4242"], "fork"),
+    (["4242", "4243"], "spawn"),
+    (FileNotFoundError, "spawn"),
+    (PermissionError, "spawn"),
+], ids=["one-thread", "two-threads", "no-proc", "unreadable"])
+def test_start_method_forks_only_a_single_threaded_process(monkeypatch, tasks, method):
+    def listdir(path):
+        assert path == "/proc/self/task"
+        if isinstance(tasks, type):
+            raise tasks(path)
+        return tasks
+
+    monkeypatch.setattr(os, "listdir", listdir)
+    assert cli._start_method() == method
+
+
+def test_start_method_counts_this_process_threads():
+    # run_cli_within's thread, like this one, makes the process multi-threaded.
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        assert cli._start_method() == "spawn"
+    finally:
+        release.set()
+        thread.join(60)
+    assert not thread.is_alive()
+
+
+@forks_with_threads
 @pytest.mark.parametrize("ranks", [[], ["--rank-a", "6", "--rank-b", "4"]],
                          ids=["scanned", "fixed"])
 def test_run_worker_and_in_process_paths_agree(tmp_path, synth_pair, capsys, monkeypatch,
                                                ranks):
     raw_a, raw_b = synth_pair
     outputs = {}
-    for cpus in (2, 1):  # 2 runs period B in a spawned worker, 1 in this process
-        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-        out = tmp_path / f"cpus{cpus}"
+    for path in ("fork", "spawn", "in-process"):
+        take_path(monkeypatch, path)
+        out = tmp_path / path
         assert run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(raw_b),
                               "--label-a", "2019", "--label-b", "2020", "--seed", "0",
                               *ranks, "--out", str(out)) == 0
         captured = capsys.readouterr()
         files = {p.name: p.read_bytes() for p in out.iterdir()}
-        outputs[cpus] = (files, captured.out.replace(str(out), "OUT"), captured.err)
-    assert outputs[2] == outputs[1]
-    files, stdout, _ = outputs[2]
+        outputs[path] = (files, captured.out.replace(str(out), "OUT"), captured.err)
+    assert outputs["fork"] == outputs["in-process"]
+    assert outputs["spawn"] == outputs["in-process"]
+    files, stdout, _ = outputs["fork"]
     assert len(files) == (14 if ranks else 16)
     lines = stdout.splitlines()
     # Grouped by period: A's lines, then B's, then the summary.
@@ -432,13 +512,13 @@ def test_run_worker_and_in_process_paths_agree(tmp_path, synth_pair, capsys, mon
     assert lines[-1] == "wrote OUT/report.json and OUT/summary.txt"
 
 
-@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize("path", PATHS)
 def test_run_failure_in_period_b_exits_2_after_a(tmp_path, synth_pair, capsys, monkeypatch,
-                                                 cpus):
+                                                 path):
     raw_a, _ = synth_pair
     header_only = tmp_path / "header_only.csv"
     header_only.write_text("count_point_id,latitude,longitude,hour,all_motor_vehicles\n")
-    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    take_path(monkeypatch, path)
     out = tmp_path / "out"
     assert run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(header_only),
                           "--rank-a", "6", "--rank-b", "4", "--out", str(out)) == 2
@@ -452,42 +532,85 @@ def test_run_failure_in_period_b_exits_2_after_a(tmp_path, synth_pair, capsys, m
     assert multiprocessing.active_children() == []
 
 
+@forks_with_threads
 def test_run_failure_in_period_a_stops_the_worker(tmp_path, synth_pair, capsys, monkeypatch):
     _, raw_b = synth_pair
     table = write_count_table(tmp_path / "table.csv", [[1, 2], [3, 4]])
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
-    # A count table is not raw records: A fails in ingest while B runs.
-    assert run_cli_within(120, "run", "--input-a", str(table), "--input-b", str(raw_b),
-                          "--out", str(tmp_path / "out")) == 2
-    assert "pipeline failed during ingest" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
+    for path in ("fork", "spawn", "in-process"):
+        take_path(monkeypatch, path)
+        # A count table is not raw records: A fails in ingest while B runs.
+        assert run_cli_within(120, "run", "--input-a", str(table), "--input-b", str(raw_b),
+                              "--out", str(tmp_path / path)) == 2, path
+        assert "pipeline failed during ingest" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize("path", PATHS)
 def test_run_unexpected_error_in_period_b_propagates(tmp_path, synth_pair, capsys, monkeypatch,
-                                                     cpus):
+                                                     path):
     raw_a, _ = synth_pair
-    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    take_path(monkeypatch, path)
     with pytest.raises(IsADirectoryError):
         run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(tmp_path),
                        "--rank-a", "6", "--rank-b", "4", "--out", str(tmp_path / "out"))
-    if cpus > 1:  # the worker's traceback is kept
+    if path != "in-process":  # the worker's traceback is kept
         assert "Traceback" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
 
 
+@forks_with_threads
 def test_worker_that_dies_without_a_result_is_an_error():
-    ctx = multiprocessing.get_context("spawn")
-    conn, child_conn = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=os._exit, args=(7,))
-    worker.start()
-    child_conn.close()
-    worker.join(60)
-    assert worker.exitcode == 7
-    assert conn.poll(60)  # end of file, not a hang
-    with pytest.raises(RuntimeError, match="period B exited with code 7 without a result"):
-        cli._receive(worker, conn, "B")
-    conn.close()
+    for method in ("fork", "spawn"):
+        ctx = multiprocessing.get_context(method)
+        conn, child_conn = ctx.Pipe(duplex=False)
+        worker = ctx.Process(target=os._exit, args=(7,))
+        worker.start()
+        child_conn.close()
+        worker.join(60)
+        assert worker.exitcode == 7, method
+        assert conn.poll(60)  # end of file, not a hang
+        with pytest.raises(RuntimeError, match="period B exited with code 7 without a result"):
+            cli._receive(worker, conn, "B")
+        conn.close()
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("blas_threads, method", [("1", "fork"), (None, "spawn")],
+                         ids=["pinned-blas-forks", "unpinned-blas-spawns"])
+def test_run_in_a_real_process_warns_nothing(tmp_path, synth_pair, capsys, monkeypatch,
+                                             blas_threads, method):
+    # A bare `run` process with every warning an error: pinned to one BLAS
+    # thread it is single-threaded and forks; unpinned, OpenBLAS's own thread
+    # makes it spawn. Either way --out equals the in-process path's.
+    raw_a, raw_b = synth_pair
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])] + ([env["PYTHONPATH"]] if "PYTHONPATH" in env else []))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+        if blas_threads is not None:
+            env[var] = blas_threads
+    probe = subprocess.run(
+        [sys.executable, "-c", "import trafficnmf.cli as c; "
+                               "print(c._start_method() if c._cpu_count() > 1 else 'one CPU')"],
+        env=env, capture_output=True, text=True, timeout=60)
+    if probe.stdout.strip() != method:
+        pytest.skip(f"a run here takes the {probe.stdout.strip() or probe.stderr} path")
+
+    argv = ["run", "--input-a", str(raw_a), "--input-b", str(raw_b), "--seed", "0"]
+    out = tmp_path / method
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "trafficnmf.cli",
+                           *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    reference = tmp_path / "in-process"
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(reference)) == 0
+    assert proc.stdout.replace(str(out), "OUT") == capsys.readouterr().out.replace(
+        str(reference), "OUT")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+        p.name: p.read_bytes() for p in reference.iterdir()}
 
 
 def test_run_sanitizes_labels_in_every_file_name(tmp_path, synth_pair, capsys):

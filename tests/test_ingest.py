@@ -231,6 +231,17 @@ def test_parse_repeated_mapped_column_is_data_error():
         parse_records(text)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("2\r,51.5,-0.1,7,10", "line 3: new-line character seen in unquoted field"),
+    ('"' + "2" * (csv.field_size_limit() + 1) + '",51.5,-0.1,7,10',
+     "line 3: field larger than field limit"),
+], ids=["bare-cr", "long-field"])
+def test_parse_line_csv_cannot_split_is_data_error(row, message):
+    with pytest.raises(DataError) as excinfo:
+        parse_records(HEADER + "\n1,51.5,-0.1,7,10\n" + row + "\n")
+    assert str(excinfo.value).startswith(message)
+
+
 def test_rejection_samples_count_blank_lines():
     text = HEADER + "\n1,51.5,-0.1,7,10\n\n\n2,51.5,-0.1,7,-3\n"
     result = parse_records(text)

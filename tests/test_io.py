@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -61,6 +62,8 @@ def test_read_count_matrix_rejects_foreign_table(tmp_path):
     (["L1,50,0,1,2", "L2,50,0,-4,2"], "line 3: negative count -4.0"),
     (["L1,50,0,1,2", ",50,0,1,2"], "line 3: empty location id"),
     (["L1,50,0,1,2", "  ,50,0,1,2"], "line 3: empty location id"),
+    (["L1,50,0,1,2", "L2,50,0,1," + "9" * (csv.field_size_limit() + 1)],
+     "line 3: field larger than field limit"),
 ])
 def test_read_count_matrix_rejects_bad_rows(tmp_path, rows, message):
     path = tmp_path / "bad.csv"
@@ -68,6 +71,20 @@ def test_read_count_matrix_rejects_bad_rows(tmp_path, rows, message):
     with pytest.raises(DataError) as excinfo:
         tio.read_count_matrix(path)
     assert str(excinfo.value).startswith(f"{path}, {message}")
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_read_count_matrix_rejects_a_non_utf8_byte_naming_its_line(tmp_path, newline):
+    rows = [b"location_id,latitude,longitude,h07,h08"]
+    rows += [f"L{i},50,0,{i},2".encode() for i in range(3000)]
+    rows[10] = "L\u00e9,50,0,1,2".encode()  # two bytes, one character
+    rows[2500] = b"L\xa3" + rows[2500]  # line 2501, past the first block read
+    path = tmp_path / "bad.csv"
+    path.write_bytes(newline.join(rows) + newline)
+    with pytest.raises(DataError) as excinfo:
+        tio.read_count_matrix(path)
+    assert str(excinfo.value) == (
+        f"{path}, line 2501: byte 0xa3 is not UTF-8; the whole file is rejected")
 
 
 def test_read_count_matrix_rejects_repeated_hour_column(tmp_path):
