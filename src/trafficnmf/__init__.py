@@ -6,103 +6,72 @@ location and time loadings, select the rank by cluster-dispersion
 scores, and compare the extracted patterns across two periods.
 """
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateClusteringError,
-    EmptyInputError,
-    HourBinMismatchError,
-    InvalidRankError,
-    MissingColumnError,
-    MissingInputError,
-    MixedPeriodsError,
-    NonFiniteError,
-    NonNegativityError,
-    NumericalError,
-    ShapeMismatchError,
-    TrafficNmfError,
-    ZeroTotalError,
-)
-from .ingest import (
-    ColumnMapping,
-    CountMatrix,
-    HourWindow,
-    NormalizedMatrix,
-    ParseResult,
-    RecordTable,
-    TrafficRecord,
-    build_matrix,
-    minmax_normalize,
-    parse_records,
-)
-from .nmf import FactorPair, NmfConfig, factorize, reconstruction_error
-from .patterns import (
-    ComparisonReport,
-    PatternMatch,
-    PatternSet,
-    compare_periods,
-    extract_patterns,
-    match_patterns,
-    normalization_column_scales,
-)
-from .rank import (
-    ClusterAssignment,
-    RankScanResult,
-    assign_clusters,
-    between_dispersion,
-    calinski_harabasz,
-    rank_scan,
-    within_dispersion,
-)
-from .synth import SyntheticSpec, generate_pair, generate_period
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ColumnMapping",
-    "ClusterAssignment",
-    "ComparisonReport",
-    "ConfigError",
-    "CountMatrix",
-    "DataError",
-    "DegenerateClusteringError",
-    "EmptyInputError",
-    "FactorPair",
-    "HourBinMismatchError",
-    "HourWindow",
-    "InvalidRankError",
-    "MissingColumnError",
-    "MissingInputError",
-    "MixedPeriodsError",
-    "NmfConfig",
-    "NonFiniteError",
-    "NonNegativityError",
-    "NormalizedMatrix",
-    "NumericalError",
-    "ParseResult",
-    "PatternMatch",
-    "PatternSet",
-    "RankScanResult",
-    "RecordTable",
-    "ShapeMismatchError",
-    "SyntheticSpec",
-    "TrafficNmfError",
-    "TrafficRecord",
-    "ZeroTotalError",
-    "assign_clusters",
-    "between_dispersion",
-    "build_matrix",
-    "calinski_harabasz",
-    "compare_periods",
-    "extract_patterns",
-    "factorize",
-    "generate_pair",
-    "generate_period",
-    "match_patterns",
-    "minmax_normalize",
-    "normalization_column_scales",
-    "parse_records",
-    "rank_scan",
-    "reconstruction_error",
-    "within_dispersion",
-]
+# Each public name and the submodule that defines it. A name is imported on
+# first use (PEP 562), so `import trafficnmf.cli` loads only the modules its
+# command runs, not the synthetic generator, rank selection or patterns.
+_HOME = {
+    "ColumnMapping": "ingest",
+    "ClusterAssignment": "rank",
+    "ComparisonReport": "patterns",
+    "ConfigError": "errors",
+    "CountMatrix": "ingest",
+    "DataError": "errors",
+    "DegenerateClusteringError": "errors",
+    "EmptyInputError": "errors",
+    "FactorPair": "nmf",
+    "HourBinMismatchError": "errors",
+    "HourWindow": "ingest",
+    "InvalidRankError": "errors",
+    "MissingColumnError": "errors",
+    "MissingInputError": "errors",
+    "MixedPeriodsError": "errors",
+    "NmfConfig": "nmf",
+    "NonFiniteError": "errors",
+    "NonNegativityError": "errors",
+    "NormalizedMatrix": "ingest",
+    "NumericalError": "errors",
+    "ParseResult": "ingest",
+    "PatternMatch": "patterns",
+    "PatternSet": "patterns",
+    "RankScanResult": "rank",
+    "RecordTable": "ingest",
+    "ShapeMismatchError": "errors",
+    "SyntheticSpec": "synth",
+    "TrafficNmfError": "errors",
+    "TrafficRecord": "ingest",
+    "ZeroTotalError": "errors",
+    "assign_clusters": "rank",
+    "between_dispersion": "rank",
+    "build_matrix": "ingest",
+    "calinski_harabasz": "rank",
+    "compare_periods": "patterns",
+    "extract_patterns": "patterns",
+    "factorize": "nmf",
+    "generate_pair": "synth",
+    "generate_period": "synth",
+    "match_patterns": "patterns",
+    "minmax_normalize": "ingest",
+    "normalization_column_scales": "patterns",
+    "parse_records": "ingest",
+    "rank_scan": "rank",
+    "reconstruction_error": "nmf",
+    "within_dispersion": "rank",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

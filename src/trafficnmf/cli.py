@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import json
 import os
 import sys
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import io as tio
 from .errors import ConfigError, DataError, MissingInputError, NumericalError, TrafficNmfError
@@ -30,17 +32,22 @@ from .ingest import (
     minmax_normalize,
     parse_records,
 )
-from .nmf import INIT_RANDOM, FactorPair, NmfConfig, factorize
-from .patterns import (
+from .nmf import (
     DEFAULT_MATCH_THRESHOLD,
-    PatternSet,
-    compare_periods,
-    extract_patterns,
-    match_patterns,
-    normalization_column_scales,
+    INIT_RANDOM,
+    POINTS_FACTOR,
+    POINTS_MATRIX,
+    FactorPair,
+    NmfConfig,
+    factorize,
 )
-from .rank import POINTS_FACTOR, POINTS_MATRIX, RankScanResult, rank_scan
-from .synth import SyntheticSpec, SyntheticPeriod, generate_pair, generate_period
+
+# Each command imports only what it runs: rank selection in rank-scan and
+# run, patterns in run, the synthetic generator in synth.
+if TYPE_CHECKING:
+    from .patterns import PatternSet
+    from .rank import RankScanResult
+    from .synth import SyntheticPeriod
 
 
 def _parse_span(text) -> tuple[int, int]:
@@ -124,7 +131,11 @@ def _load_config_file(path: str | None) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:  # e.g. a directory, or a byte that is not UTF-8
+        raise ConfigError(f"config file {p} cannot be read: {e}") from None
+    try:
+        cfg = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {p} is not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
@@ -184,9 +195,12 @@ def _require_input(path_str: str | None, flag: str) -> Path:
 
 def _ingest_file(path: Path, label: str, window: HourWindow) -> CountMatrix:
     with tio.read_text(path) as f:
-        result = parse_records(f, ColumnMapping(), period_label=label)
-    print(f"{path}: {len(result.records)} records parsed, {result.rejections.describe()}")
-    matrix = build_matrix(result.records, window)
+        try:
+            result = parse_records(f, ColumnMapping(), period_label=label)
+            print(f"{path}: {len(result.records)} records parsed, {result.rejections.describe()}")
+            matrix = build_matrix(result.records, window)
+        except DataError as e:  # these know no file name; read_text's own errors carry it
+            raise type(e)(f"{path}: {e}") from None
     n, m = matrix.shape
     print(f"{label}: {n} locations x {m} hour bins")
     return matrix
@@ -213,6 +227,8 @@ def _check_labels(cfg: PipelineConfig) -> None:
 def _scan(cfg: PipelineConfig, x: NormalizedMatrix, label: str) -> tuple[RankScanResult, Path]:
     """Scan the configured ranks, note each skipped rank on stderr, and
     write the scan table."""
+    from .rank import rank_scan
+
     result = rank_scan(x, cfg.ranks, cfg.nmf, points=cfg.points)
     for rank, reason in result.skipped.items():
         print(f"{label}: rank {rank} skipped: {reason}", file=sys.stderr)
@@ -300,6 +316,8 @@ def _period(cfg: PipelineConfig, path: Path, label: str,
     shared streams. An exception leaves with `stage`, the pipeline stage it
     came from, and `output`, the text captured until then.
     """
+    from .patterns import extract_patterns, normalization_column_scales
+
     out, err = StringIO(), StringIO()
     stage = "ingest"
     try:
@@ -392,6 +410,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     """
     import multiprocessing  # only `run` starts a worker; other commands skip the import
 
+    from .patterns import compare_periods, match_patterns
+
     cfg = _resolve(args)
     _check_labels(cfg)
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -466,6 +486,8 @@ def _write_planted(out: Path, period: SyntheticPeriod) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import SyntheticSpec, generate_pair, generate_period
+
     cfg = _resolve(args)
     if cfg.pair_drop is not None:
         _check_labels(cfg)
@@ -566,6 +588,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns its exit code.
+
+    Without `argv` this is the program itself (`python -m trafficnmf.cli`, the
+    `trafficnmf` script), and the objects alive at this point, modules,
+    classes and functions, live until it exits. They are frozen out of the
+    garbage collector, which then skips them at every collection, the one at
+    exit included, and `run`'s forked worker inherits them frozen. A caller
+    that passes `argv` keeps its collector as it was.
+    """
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

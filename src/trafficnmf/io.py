@@ -13,15 +13,17 @@ import json
 import math
 from collections.abc import Iterator
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
 from .errors import DataError, MissingInputError
 from .ingest import CountMatrix
-from .nmf import FactorPair, NmfConfig
-from .patterns import ComparisonReport, PatternSet
-from .rank import RankScanResult
+
+if TYPE_CHECKING:  # annotations only, so that every command need not load rank and patterns
+    from .nmf import FactorPair, NmfConfig
+    from .patterns import ComparisonReport, PatternSet
+    from .rank import RankScanResult
 
 
 def _fmt(value: float) -> str:

@@ -15,9 +15,7 @@ import numpy as np
 
 from .errors import HourBinMismatchError, ZeroTotalError
 from .ingest import CountMatrix, NormalizedMatrix
-from .nmf import FactorPair
-
-DEFAULT_MATCH_THRESHOLD = 0.80
+from .nmf import DEFAULT_MATCH_THRESHOLD, FactorPair
 
 
 @dataclass

@@ -17,10 +17,7 @@ import numpy as np
 
 from .errors import DegenerateClusteringError, InvalidRankError, NumericalError, TrafficNmfError
 from .ingest import NormalizedMatrix
-from .nmf import FactorPair, NmfConfig, factorize
-
-POINTS_FACTOR = "factor"
-POINTS_MATRIX = "matrix"
+from .nmf import POINTS_FACTOR, POINTS_MATRIX, FactorPair, NmfConfig, factorize
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import csv
+import gc
 import json
 import multiprocessing
 import os
@@ -152,6 +154,36 @@ def test_non_utf8_byte_exits_2_naming_file_and_line(tmp_path, synth_pair, capsys
     assert "Traceback" not in err
 
 
+HEADER = "count_point_id,latitude,longitude,hour,all_motor_vehicles\n"
+
+
+@pytest.mark.parametrize("command", ["run", "ingest"])
+@pytest.mark.parametrize("text, message", [
+    (None, "input has no header row"),
+    (HEADER, "input has a header but no data rows"),
+    (HEADER.replace("all_motor_vehicles", "cars"), "column 'all_motor_vehicles' not found"),
+    (HEADER + "L1,50,0,8," + "9" * (csv.field_size_limit() + 1) + "\n",
+     "line 2: field larger than field limit"),
+    (HEADER + "L1,50,0,3,10\n", "no records inside the hour window"),
+], ids=["empty", "header-only", "missing-column", "unsplittable", "outside-the-window"])
+def test_parse_error_names_its_input(tmp_path, synth_pair, capsys, command, text, message):
+    # Period B's file fails to parse; the error says which file it was, once.
+    raw_a, _ = synth_pair
+    if text is None:
+        bad = Path(os.devnull)
+    else:
+        bad = tmp_path / "bad_b.csv"
+        bad.write_text(text)
+    argv = [command, "--input-a", str(raw_a), "--input-b", str(bad), "--out", str(tmp_path / "out")]
+    if command == "run":
+        argv += ["--rank-a", "6", "--rank-b", "4"]
+    capsys.readouterr()
+    assert run_cli_within(120, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: {message}" in err
+    assert err.count(str(bad)) == 1
+
+
 def test_factorize_invalid_table_exits_2(tmp_path, capsys):
     table = tmp_path / "bad.csv"
     table.write_text("location_id,latitude,longitude,h07,h08\nL1,999,0,3,-4\nL1,50,0,1,2\n")
@@ -288,6 +320,19 @@ def test_bad_config_file_exits_1(tmp_path, capsys):
     code = run_cli("run", "--config", str(bad))
     assert code == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_config_file_that_cannot_be_read_exits_1(tmp_path, capsys, kind):
+    config = tmp_path / "cfg.json"
+    if kind == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(b'{"seed": 1, "label_a": "A\xa3"}')
+    out = tmp_path / "out"
+    assert run_cli("ingest", "--config", str(config), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: config file {config} cannot be read: ")
+    assert not out.exists()
 
 
 def test_factorize_fixed_rank(tmp_path, synth_pair, capsys):
@@ -575,6 +620,20 @@ def test_worker_that_dies_without_a_result_is_an_error():
         assert multiprocessing.active_children() == []
 
 
+def program_env():
+    """This process's environment, with this checkout's trafficnmf first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])] + ([env["PYTHONPATH"]] if "PYTHONPATH" in env else []))
+    return env
+
+
+def program(argv, env, *flags):
+    """`python [flags] -m trafficnmf.cli argv` as its own process, finished."""
+    return subprocess.run([sys.executable, *flags, "-m", "trafficnmf.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("blas_threads, method", [("1", "fork"), (None, "spawn")],
                          ids=["pinned-blas-forks", "unpinned-blas-spawns"])
 def test_run_in_a_real_process_warns_nothing(tmp_path, synth_pair, capsys, monkeypatch,
@@ -583,9 +642,7 @@ def test_run_in_a_real_process_warns_nothing(tmp_path, synth_pair, capsys, monke
     # thread it is single-threaded and forks; unpinned, OpenBLAS's own thread
     # makes it spawn. Either way --out equals the in-process path's.
     raw_a, raw_b = synth_pair
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(cli.__file__).parents[1])] + ([env["PYTHONPATH"]] if "PYTHONPATH" in env else []))
+    env = program_env()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.pop(var, None)
         if blas_threads is not None:
@@ -599,9 +656,7 @@ def test_run_in_a_real_process_warns_nothing(tmp_path, synth_pair, capsys, monke
 
     argv = ["run", "--input-a", str(raw_a), "--input-b", str(raw_b), "--seed", "0"]
     out = tmp_path / method
-    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "trafficnmf.cli",
-                           *argv, "--out", str(out)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = program([*argv, "--out", str(out)], env, "-X", "dev", "-W", "error")
     assert (proc.returncode, proc.stderr) == (0, "")
     monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
     reference = tmp_path / "in-process"
@@ -611,6 +666,76 @@ def test_run_in_a_real_process_warns_nothing(tmp_path, synth_pair, capsys, monke
         str(reference), "OUT")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == {
         p.name: p.read_bytes() for p in reference.iterdir()}
+
+
+@pytest.mark.parametrize("command", ["ingest", "rank-scan", "factorize"])
+def test_command_in_a_real_process_warns_nothing(tmp_path, synth_pair, capsys, command):
+    # The program's own exit path, with start-up objects frozen out of the
+    # collector, leaks no resource and loses no output.
+    raw_a, raw_b = synth_pair
+    assert run_cli("ingest", "--input-a", str(raw_a), "--out", str(tmp_path)) == 0
+    argv = {
+        "ingest": ["ingest", "--input-a", str(raw_a), "--input-b", str(raw_b)],
+        "rank-scan": ["rank-scan", "--input-a", str(tmp_path / "counts_A.csv"), "--ranks", "2..8"],
+        "factorize": ["factorize", "--input-a", str(tmp_path / "counts_A.csv"), "--rank-a", "6"],
+    }[command]
+    out = tmp_path / "real"
+    proc = program([*argv, "--out", str(out)], program_env(), "-X", "dev", "-W", "error")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    reference = tmp_path / "in-process"
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(reference)) == 0
+    assert proc.stdout.replace(str(out), "OUT") == capsys.readouterr().out.replace(
+        str(reference), "OUT")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+        p.name: p.read_bytes() for p in reference.iterdir()}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, synth_pair):
+    raw_a, raw_b = synth_pair
+    env = program_env()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    out = str(tmp_path)
+    counts = str(tmp_path / "counts_A.csv")
+    # command: (argv, modules it needs, modules it must not load)
+    commands = {
+        "--help": (["--help"], {"numpy", "trafficnmf.io"}, {"rank", "patterns", "synth"}),
+        "ingest": (["ingest", "--input-a", str(raw_a), "--out", out],
+                   {"trafficnmf.ingest", "trafficnmf.io"}, {"rank", "patterns", "synth"}),
+        "rank-scan": (["rank-scan", "--input-a", counts, "--ranks", "2..4", "--out", out],
+                      {"trafficnmf.rank"}, {"patterns", "synth"}),
+        "factorize": (["factorize", "--input-a", counts, "--rank-a", "3", "--out", out],
+                      {"trafficnmf.nmf"}, {"rank", "patterns", "synth"}),
+        "run": (["run", "--input-a", str(raw_a), "--input-b", str(raw_b), "--ranks", "2..4",
+                 "--out", out], {"trafficnmf.rank", "trafficnmf.patterns"}, {"synth"}),
+    }
+    for command, (argv, needed, unused) in commands.items():
+        proc = program(argv, env, "-X", "importtime")
+        assert proc.returncode == 0, proc.stderr
+        loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert needed <= loaded, command
+        assert not loaded & {f"trafficnmf.{name}" for name in unused}, command
+
+
+def test_main_with_argv_leaves_the_collector_as_it_was(tmp_path, synth_pair):
+    raw_a, _ = synth_pair
+    frozen = gc.get_freeze_count()
+    assert run_cli("ingest", "--input-a", str(raw_a), "--out", str(tmp_path)) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_program_freezes_its_start_up_objects(tmp_path, synth_pair):
+    raw_a, _ = synth_pair
+    argv = ["trafficnmf", "ingest", "--input-a", str(raw_a), "--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gc, sys; from trafficnmf.cli import main; "
+                               f"sys.argv = {argv!r}; before = gc.get_freeze_count(); "
+                               "print(main(), before, gc.get_freeze_count() > 0)"],
+        env=program_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "0 0 True"
 
 
 def test_run_sanitizes_labels_in_every_file_name(tmp_path, synth_pair, capsys):

@@ -1,12 +1,17 @@
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trafficnmf import io as tio
-from trafficnmf.errors import DataError, MissingInputError
-from trafficnmf.ingest import build_matrix, minmax_normalize
+from trafficnmf.errors import DataError, EmptyInputError, MissingInputError
+from trafficnmf.ingest import HourWindow, build_matrix, minmax_normalize, parse_records
 from trafficnmf.nmf import NmfConfig, factorize
 from trafficnmf.patterns import (
     compare_periods,
@@ -33,6 +38,43 @@ def test_count_matrix_roundtrip(tmp_path, matrix):
     assert back.locations == matrix.locations
     assert back.hours == matrix.hours
     assert back.period_label == "A"
+
+
+# Location ids as raw files may carry them: a comma, a quote, a newline, NUL and
+# a byte-order mark among ordinary characters, spaces that parsing strips, or
+# nothing left after the strip (a rejected row). A bare "\r" is left out: the
+# table writers do not quote it, so such an id does not round-trip yet.
+RAW_IDS = st.text(alphabet=st.sampled_from([",", '"', "\n", "\x00", "\ufeff", " ", "a", "7", "é"]),
+                  max_size=6)
+RAW_ROWS = st.lists(
+    st.tuples(RAW_IDS,
+              st.floats(-90, 90, allow_nan=False),
+              st.floats(-180, 180, allow_nan=False),
+              st.integers(0, 23),
+              st.integers(0, 10**6)),
+    min_size=1, max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=RAW_ROWS)
+def test_accepted_raw_records_round_trip_through_a_count_table(rows):
+    raw = io.StringIO(newline="")
+    writer = csv.writer(raw, lineterminator="\n")
+    writer.writerow(["count_point_id", "latitude", "longitude", "hour", "all_motor_vehicles"])
+    writer.writerows([loc, repr(lat), repr(lon), hour, count] for loc, lat, lon, hour, count in rows)
+    try:
+        matrix = build_matrix(parse_records(raw.getvalue()).records, HourWindow(0, 23))
+    except EmptyInputError:  # every row rejected
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.csv"
+        tio.write_count_matrix(path, matrix)
+        back = tio.read_count_matrix(path)
+    assert back.locations == matrix.locations
+    assert back.hours == matrix.hours
+    assert np.array_equal(back.values, matrix.values)
+    accepted = {loc.strip() for loc, *_ in rows if loc.strip()}
+    assert [loc for loc, _, _ in back.locations] == sorted(accepted)
 
 
 def test_read_count_matrix_defaults_period_to_stem(tmp_path, matrix):
