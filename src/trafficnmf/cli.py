@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import gc
 import json
 import os
@@ -47,7 +46,6 @@ from .nmf import (
 if TYPE_CHECKING:
     from .patterns import PatternSet
     from .rank import RankScanResult
-    from .synth import SyntheticPeriod
 
 
 def _parse_span(text) -> tuple[int, int]:
@@ -462,29 +460,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_records_csv(path: Path, period: SyntheticPeriod) -> None:
-    cols = ColumnMapping()
-    with path.open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow([cols.location_id, cols.latitude, cols.longitude, cols.hour, cols.count])
-        for r in period.records:
-            w.writerow([r.location_id, repr(r.latitude), repr(r.longitude), r.hour, r.count])
-
-
-def _write_planted(out: Path, period: SyntheticPeriod) -> None:
-    label = period.period_label
-    with _out_file(out, "planted_w_{}.csv", label).open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow([f"p{g + 1}" for g in range(period.planted_w.shape[1])])
-        for row in period.planted_w:
-            w.writerow([repr(float(v)) for v in row])
-    with _out_file(out, "planted_h_{}.csv", label).open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["hour"] + [f"p{g + 1}" for g in range(period.planted_h.shape[1])])
-        for j, hour in enumerate(period.hours):
-            w.writerow([hour] + [repr(float(v)) for v in period.planted_h[j]])
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     from .synth import SyntheticSpec, generate_pair, generate_period
 
@@ -527,19 +502,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     manifest["periods"] = {}
     for period in periods:
-        records_path = _out_file(cfg.out, "synth_{}.csv", period.period_label)
-        _write_records_csv(records_path, period)
-        _write_planted(cfg.out, period)
-        manifest["periods"][period.period_label] = {
+        label = period.period_label
+        records_path = _out_file(cfg.out, "synth_{}.csv", label)
+        tio.write_synth_period(records_path, _out_file(cfg.out, "planted_w_{}.csv", label),
+                               _out_file(cfg.out, "planted_h_{}.csv", label), period)
+        manifest["periods"][label] = {
             "records_file": records_path.name,
             "realized_noise": period.realized_noise,
             "total_count": float(period.counts.sum()),
             "planted_rank": period.planted_h.shape[1],
         }
         print(f"wrote {records_path} (realized noise {period.realized_noise:.4f})")
-    (cfg.out / "synth_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    tio.write_json(cfg.out / "synth_manifest.json", manifest)
     print(f"wrote {cfg.out / 'synth_manifest.json'}")
     return 0
 

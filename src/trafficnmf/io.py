@@ -1,8 +1,10 @@
 """Readers and writers for the delimited tables, geo features, and reports.
 
-All writers are byte-deterministic: fixed newlines, repr-based float
-formatting, sorted JSON keys, and no timestamps, so identical inputs
-always produce identical files.
+All writers are byte-deterministic: every delimited table goes through
+`_write_table` ("\n" line ends, minimal quoting), floats print through
+`_fmt` (through repr in the synth files), JSON keys are sorted, and
+nothing carries a timestamp, so identical inputs always produce
+identical files.
 """
 
 from __future__ import annotations
@@ -11,19 +13,22 @@ import contextlib
 import csv
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
 from .errors import DataError, MissingInputError
-from .ingest import CountMatrix
+from .ingest import ColumnMapping, CountMatrix
 
 if TYPE_CHECKING:  # annotations only, so that every command need not load rank and patterns
     from .nmf import FactorPair, NmfConfig
     from .patterns import ComparisonReport, PatternSet
     from .rank import RankScanResult
+    from .synth import SyntheticPeriod
+
+_LOCATION_HEADER = ["location_id", "latitude", "longitude"]
 
 
 def _fmt(value: float) -> str:
@@ -34,12 +39,39 @@ def _fmt(value: float) -> str:
     return repr(v)
 
 
-def _writer(f):
-    return csv.writer(f, lineterminator="\n")
+def _plabel(index: int) -> str:
+    """The label of pattern `index`, as table columns and reports name it."""
+    return f"p{index + 1}"
 
 
 def _hour_col(hour: int) -> str:
     return f"h{hour:02d}"
+
+
+def _write_table(path: Path | str, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Write one delimited output table: UTF-8, "\n" line ends, minimal quoting.
+
+    Every cell is a str. With "\n" line ends csv does not quote a cell
+    holding a bare "\r", which a reader would then split, so a row with
+    such a cell is written with every cell quoted.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as f:
+        minimal = csv.writer(f, lineterminator="\n")
+        quote_all = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        minimal.writerow(header)
+        for row in rows:
+            (quote_all if "\r" in "".join(row) else minimal).writerow(row)
+
+
+def _location_rows(locations: list[tuple[str, float, float]],
+                   values: np.ndarray) -> Iterator[list[str]]:
+    for (loc_id, lat, lon), row in zip(locations, values):
+        yield [loc_id, _fmt(lat), _fmt(lon), *map(_fmt, row.tolist())]
+
+
+def _hour_rows(hours: list[int], values: np.ndarray) -> Iterator[list[str]]:
+    for hour, row in zip(hours, values):
+        yield [str(hour), *map(_fmt, row.tolist())]
 
 
 @contextlib.contextmanager
@@ -68,12 +100,8 @@ def read_text(path: Path) -> Iterator[TextIO]:
 
 
 def write_count_matrix(path: Path | str, m: CountMatrix) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as f:
-        w = _writer(f)
-        w.writerow(["location_id", "latitude", "longitude"] + [_hour_col(h) for h in m.hours])
-        for i, (loc_id, lat, lon) in enumerate(m.locations):
-            w.writerow([loc_id, _fmt(lat), _fmt(lon)] + [_fmt(v) for v in m.values[i]])
+    _write_table(path, _LOCATION_HEADER + [_hour_col(h) for h in m.hours],
+                 _location_rows(m.locations, m.values))
 
 
 def read_count_matrix(path: Path | str, period_label: str | None = None) -> CountMatrix:
@@ -95,7 +123,7 @@ def read_count_matrix(path: Path | str, period_label: str | None = None) -> Coun
             header = next(reader, None)
             if header is None:
                 raise DataError(f"{path} is empty")
-            if header[:3] != ["location_id", "latitude", "longitude"]:
+            if header[:3] != _LOCATION_HEADER:
                 raise DataError(f"{path} is not a count-matrix table (header {header[:3]})")
             hours = []
             for name in header[3:]:
@@ -163,17 +191,10 @@ def write_factor_tables(
     cfg: NmfConfig,
 ) -> None:
     """Write location loadings, time loadings, and a solve-diagnostics record."""
-    pattern_cols = [f"p{g + 1}" for g in range(pair.rank)]
-    with Path(location_path).open("w", newline="", encoding="utf-8") as f:
-        w = _writer(f)
-        w.writerow(["location_id", "latitude", "longitude"] + pattern_cols)
-        for i, (loc_id, lat, lon) in enumerate(matrix.locations):
-            w.writerow([loc_id, _fmt(lat), _fmt(lon)] + [_fmt(v) for v in pair.w[i]])
-    with Path(time_path).open("w", newline="", encoding="utf-8") as f:
-        w = _writer(f)
-        w.writerow(["hour"] + pattern_cols)
-        for j, hour in enumerate(matrix.hours):
-            w.writerow([hour] + [_fmt(v) for v in pair.h[j]])
+    pattern_cols = [_plabel(g) for g in range(pair.rank)]
+    _write_table(location_path, _LOCATION_HEADER + pattern_cols,
+                 _location_rows(matrix.locations, pair.w))
+    _write_table(time_path, ["hour", *pattern_cols], _hour_rows(matrix.hours, pair.h))
     diagnostics = {
         "config": {
             "rank": cfg.rank,
@@ -187,30 +208,38 @@ def write_factor_tables(
         "final_loss": pair.objective_trace[-1],
         "objective_trace": pair.objective_trace,
     }
-    _write_json(diagnostics_path, diagnostics)
+    write_json(diagnostics_path, diagnostics)
 
 
 def write_scan_table(path: Path | str, result: RankScanResult) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as f:
-        w = _writer(f)
-        w.writerow(["rank", "within_dispersion", "between_dispersion", "ch_score", "final_loss"])
-        for e in result.entries:
-            w.writerow([
-                e.rank,
-                _fmt(e.within_dispersion),
-                _fmt(e.between_dispersion),
-                _fmt(e.ch_score),
-                _fmt(e.final_loss),
-            ])
+    _write_table(
+        path, ["rank", "within_dispersion", "between_dispersion", "ch_score", "final_loss"],
+        ([str(e.rank), _fmt(e.within_dispersion), _fmt(e.between_dispersion),
+          _fmt(e.ch_score), _fmt(e.final_loss)] for e in result.entries),
+    )
 
 
 def write_temporal_patterns(path: Path | str, patterns: PatternSet) -> None:
     """Unit-max temporal curves, one column per pattern."""
-    with Path(path).open("w", newline="", encoding="utf-8") as f:
-        w = _writer(f)
-        w.writerow(["hour"] + [f"p{g + 1}" for g in range(patterns.rank)])
-        for j, hour in enumerate(patterns.hours):
-            w.writerow([hour] + [_fmt(v) for v in patterns.temporal[j]])
+    _write_table(path, ["hour", *(_plabel(g) for g in range(patterns.rank))],
+                 _hour_rows(patterns.hours, patterns.temporal))
+
+
+def write_synth_period(records_path: Path | str, w_path: Path | str, h_path: Path | str,
+                       period: SyntheticPeriod) -> None:
+    """A synthetic period's raw records and its planted location and time
+    factors. Floats are written as repr, so a planted 100 reads 100.0."""
+    cols = ColumnMapping()
+    _write_table(
+        records_path, [cols.location_id, cols.latitude, cols.longitude, cols.hour, cols.count],
+        ([r.location_id, repr(r.latitude), repr(r.longitude), str(r.hour), str(r.count)]
+         for r in period.records),
+    )
+    labels = [_plabel(g) for g in range(period.planted_h.shape[1])]
+    _write_table(w_path, labels, ([*map(repr, row.tolist())] for row in period.planted_w))
+    _write_table(h_path, ["hour", *labels],
+                 ([str(hour), *map(repr, row.tolist())]
+                  for hour, row in zip(period.hours, period.planted_h)))
 
 
 def write_spatial_geojson(path: Path | str, patterns: PatternSet) -> None:
@@ -219,9 +248,9 @@ def write_spatial_geojson(path: Path | str, patterns: PatternSet) -> None:
     dominant = np.argmax(patterns.spatial, axis=1)
     features = []
     for i, (loc_id, lat, lon) in enumerate(patterns.locations):
-        properties = {"location_id": loc_id, "dominant_pattern": f"p{int(dominant[i]) + 1}"}
+        properties = {"location_id": loc_id, "dominant_pattern": _plabel(int(dominant[i]))}
         for g in range(patterns.rank):
-            properties[f"p{g + 1}"] = float(patterns.spatial[i, g])
+            properties[_plabel(g)] = float(patterns.spatial[i, g])
         features.append({
             "type": "Feature",
             "geometry": {"type": "Point", "coordinates": [float(lon), float(lat)]},
@@ -234,32 +263,10 @@ def write_spatial_geojson(path: Path | str, patterns: PatternSet) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _plabel(index: int) -> str:
-    return f"p{index + 1}"
-
-
 def comparison_to_dict(report: ComparisonReport, set_a: PatternSet, set_b: PatternSet) -> dict:
     # Patterns are referenced by the same p1..pr labels used as column
     # names in the factor and temporal tables.
-    return {
-        "period_a": {
-            "label": report.period_a,
-            "rank": set_a.rank,
-            "total_count": report.total_a,
-            "dominant_location_counts": {
-                _plabel(g): n for g, n in enumerate(report.dominant_counts_a)
-            },
-            "temporal_peak_intensity": [float(v) for v in set_a.column_norms],
-        },
-        "period_b": {
-            "label": report.period_b,
-            "rank": set_b.rank,
-            "total_count": report.total_b,
-            "dominant_location_counts": {
-                _plabel(g): n for g, n in enumerate(report.dominant_counts_b)
-            },
-            "temporal_peak_intensity": [float(v) for v in set_b.column_norms],
-        },
+    out = {
         "total_reduction_pct": report.total_reduction_pct,
         "threshold": report.match.threshold,
         "matched": [
@@ -277,6 +284,18 @@ def comparison_to_dict(report: ComparisonReport, set_a: PatternSet, set_b: Patte
         "unmatched_b": [_plabel(j) for j in report.match.unmatched_b],
         "disappeared_count": len(report.match.unmatched_a),
     }
+    for key, label, patterns, total, counts in (
+        ("period_a", report.period_a, set_a, report.total_a, report.dominant_counts_a),
+        ("period_b", report.period_b, set_b, report.total_b, report.dominant_counts_b),
+    ):
+        out[key] = {
+            "label": label,
+            "rank": patterns.rank,
+            "total_count": total,
+            "dominant_location_counts": {_plabel(g): n for g, n in enumerate(counts)},
+            "temporal_peak_intensity": [float(v) for v in patterns.column_norms],
+        }
+    return out
 
 
 def write_comparison_report(
@@ -286,7 +305,7 @@ def write_comparison_report(
     set_a: PatternSet,
     set_b: PatternSet,
 ) -> None:
-    _write_json(json_path, comparison_to_dict(report, set_a, set_b))
+    write_json(json_path, comparison_to_dict(report, set_a, set_b))
     Path(text_path).write_text(render_summary(report), encoding="utf-8")
 
 
@@ -305,14 +324,14 @@ def render_summary(report: ComparisonReport) -> str:
         for n in report.per_pattern_notes:
             shift = f"shifted {n.peak_shift:+d}h" if n.peak_shift else "unchanged"
             lines.append(
-                f"  {a} p{n.pattern_a + 1} ~ {b} p{n.pattern_b + 1}"
+                f"  {a} {_plabel(n.pattern_a)} ~ {b} {_plabel(n.pattern_b)}"
                 f" (similarity {n.similarity:.3f}), peak {n.peak_hour_a:02d}:00 ->"
                 f" {n.peak_hour_b:02d}:00 ({shift})"
             )
     else:
         lines.append("Matched patterns: none")
-    gone = ", ".join(f"p{i + 1}" for i in report.match.unmatched_a) or "none"
-    new = ", ".join(f"p{j + 1}" for j in report.match.unmatched_b) or "none"
+    gone = ", ".join(map(_plabel, report.match.unmatched_a)) or "none"
+    new = ", ".join(map(_plabel, report.match.unmatched_b)) or "none"
     lines.append(f"Disappeared from {a}: {gone}")
     lines.append(f"New in {b}: {new}")
     lines.append("Dominant-pattern location counts:")
@@ -322,10 +341,10 @@ def render_summary(report: ComparisonReport) -> str:
 
 
 def _dominant_line(counts: list[int]) -> str:
-    return ", ".join(f"p{g + 1}={n}" for g, n in enumerate(counts))
+    return ", ".join(f"{_plabel(g)}={n}" for g, n in enumerate(counts))
 
 
-def _write_json(path: Path | str, obj) -> None:
+def write_json(path: Path | str, obj) -> None:
     Path(path).write_text(
         json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -30,7 +30,6 @@ class ClusterAssignment:
 
     labels: np.ndarray
     k: int
-    source: str
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,6 @@ class RankScanResult:
 
     entries: list[RankScanEntry]
     recommended_rank: int
-    points: str
     pairs: dict[int, FactorPair]
     skipped: dict[int, str]
 
@@ -64,7 +62,7 @@ class RankScanResult:
         raise KeyError(f"no scan entry for rank {rank}")
 
 
-def assign_clusters(factor: np.ndarray, source: str = "location-factor") -> ClusterAssignment:
+def assign_clusters(factor: np.ndarray) -> ClusterAssignment:
     """Assign each row to the column index of its maximum loading.
 
     Ties break toward the lowest column index (np.argmax convention).
@@ -73,7 +71,7 @@ def assign_clusters(factor: np.ndarray, source: str = "location-factor") -> Clus
     if factor.ndim != 2 or factor.shape[1] < 1:
         raise ValueError(f"factor must be a 2-d matrix with >=1 column, got shape {factor.shape}")
     labels = np.argmax(factor, axis=1)
-    return ClusterAssignment(labels=labels, k=factor.shape[1], source=source)
+    return ClusterAssignment(labels=labels, k=factor.shape[1])
 
 
 def within_dispersion(points: np.ndarray, assignment: ClusterAssignment) -> float:
@@ -196,7 +194,6 @@ def rank_scan(
     return RankScanResult(
         entries=entries,
         recommended_rank=_recommend(entries),
-        points=points,
         pairs=pairs,
         skipped=skipped,
     )

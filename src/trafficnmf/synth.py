@@ -128,6 +128,21 @@ def _records_from_counts(
     return records
 
 
+def _period(w: np.ndarray, h: np.ndarray, target: np.ndarray, noise_level: float,
+            rng: np.random.Generator, label: str, hours: list[int]) -> SyntheticPeriod:
+    """The period planted as `w @ h.T` whose noise-free counts are `target`."""
+    counts, realized = _apply_noise(target, noise_level, rng)
+    return SyntheticPeriod(
+        records=_records_from_counts(counts, hours, label),
+        counts=counts,
+        planted_w=w,
+        planted_h=h,
+        realized_noise=realized,
+        period_label=label,
+        hours=hours,
+    )
+
+
 def generate_period(
     spec: SyntheticSpec,
     period_label: str = "A",
@@ -150,17 +165,7 @@ def generate_period(
     rng = np.random.default_rng(spec.seed)
     h = _temporal_curves(spec.n_hours, spec.planted_rank)
     w = _location_loadings(spec.n_locations, spec.planted_rank, rng)
-    target = w @ h.T
-    counts, realized = _apply_noise(target, spec.noise_level, rng)
-    return SyntheticPeriod(
-        records=_records_from_counts(counts, hours, period_label),
-        counts=counts,
-        planted_w=w,
-        planted_h=h,
-        realized_noise=realized,
-        period_label=period_label,
-        hours=hours,
-    )
+    return _period(w, h, w @ h.T, spec.noise_level, rng, period_label, hours)
 
 
 def generate_pair(
@@ -191,15 +196,6 @@ def generate_pair(
     w_b = _location_loadings(spec.n_locations, rank_b, rng)
     base = w_b @ h_b.T
     factor = count_scale * period_one.counts.sum() / base.sum()
-    target = factor * base
-    counts, realized = _apply_noise(target, spec.noise_level, rng)
-    period_two = SyntheticPeriod(
-        records=_records_from_counts(counts, period_one.hours, period_b),
-        counts=counts,
-        planted_w=factor * w_b,
-        planted_h=h_b,
-        realized_noise=realized,
-        period_label=period_b,
-        hours=period_one.hours,
-    )
-    return period_one, period_two
+    # factor * (w_b @ h_b.T), not (factor * w_b) @ h_b.T: the two round differently.
+    return period_one, _period(factor * w_b, h_b, factor * base, spec.noise_level, rng,
+                               period_b, period_one.hours)

@@ -138,7 +138,7 @@ def test_criterion_5_dispersion_correctness():
             k = int(rng.integers(1, n))
             points = rng.normal(0.0, 5.0, size=(n, d))
             labels = rng.integers(0, k, size=n)
-            a = ClusterAssignment(labels=labels, k=k, source="test")
+            a = ClusterAssignment(labels=labels, k=k)
             w = within_dispersion(points, a)
             b = between_dispersion(points, a)
             total = total_scatter(points)
@@ -150,7 +150,7 @@ def test_criterion_5_dispersion_correctness():
             labels = rng.integers(0, 3, size=20)
             if len(set(labels.tolist())) < 2:
                 labels[0], labels[1] = 0, 1
-            a = ClusterAssignment(labels=labels, k=3, source="test")
+            a = ClusterAssignment(labels=labels, k=3)
             mine = calinski_harabasz(points, a)
             oracle = ch_bruteforce(points, labels)
             assert abs(mine - oracle) <= 1e-9 * abs(oracle)

@@ -22,7 +22,7 @@ from trafficnmf.synth import SyntheticSpec, generate_period
 # from its centroid (W = 4), each centroid 2 away from the global one
 # weighted by 2 points (B = 16), total scatter 20, CH = (16/1)/(4/2) = 8.
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 2.0], [4.0, 0.0], [4.0, 2.0]])
-FOUR_LABELS = ClusterAssignment(labels=np.array([0, 0, 1, 1]), k=2, source="test")
+FOUR_LABELS = ClusterAssignment(labels=np.array([0, 0, 1, 1]), k=2)
 
 
 def total_scatter(points):
@@ -85,20 +85,20 @@ def test_four_point_worked_example():
 
 def test_singleton_clusters_have_zero_within():
     points = np.arange(8.0).reshape(4, 2)
-    a = ClusterAssignment(labels=np.arange(4), k=4, source="test")
+    a = ClusterAssignment(labels=np.arange(4), k=4)
     assert within_dispersion(points, a) == 0.0
 
 
 def test_labels_outside_0_to_k_are_rejected():
     for labels in ([0, 0, 1, 2], [0, -1, 1, 1]):
-        bad = ClusterAssignment(labels=np.array(labels), k=2, source="test")
+        bad = ClusterAssignment(labels=np.array(labels), k=2)
         with pytest.raises(ValueError, match="label out of range"):
             calinski_harabasz(FOUR_POINTS, bad)
 
 
 def test_identical_points_single_cluster():
     points = np.ones((5, 3))
-    a = ClusterAssignment(labels=np.zeros(5, dtype=int), k=1, source="test")
+    a = ClusterAssignment(labels=np.zeros(5, dtype=int), k=1)
     assert within_dispersion(points, a) == 0.0
     assert between_dispersion(points, a) == 0.0
 
@@ -106,29 +106,29 @@ def test_identical_points_single_cluster():
 def test_single_cluster_between_is_zero():
     rng = np.random.default_rng(2)
     points = rng.random((6, 3))
-    a = ClusterAssignment(labels=np.zeros(6, dtype=int), k=1, source="test")
+    a = ClusterAssignment(labels=np.zeros(6, dtype=int), k=1)
     assert between_dispersion(points, a) == 0.0
 
 
 def test_ch_degenerate_cases():
     points = np.random.default_rng(0).random((4, 2))
-    one = ClusterAssignment(labels=np.zeros(4, dtype=int), k=1, source="test")
+    one = ClusterAssignment(labels=np.zeros(4, dtype=int), k=1)
     with pytest.raises(DegenerateClusteringError):
         calinski_harabasz(points, one)
-    singletons = ClusterAssignment(labels=np.arange(4), k=4, source="test")
+    singletons = ClusterAssignment(labels=np.arange(4), k=4)
     with pytest.raises(DegenerateClusteringError):
         calinski_harabasz(points, singletons)
 
 
 def test_ch_zero_within_is_infinite():
     points = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [5.0, 5.0]])
-    a = ClusterAssignment(labels=np.array([0, 0, 1, 1]), k=2, source="test")
+    a = ClusterAssignment(labels=np.array([0, 0, 1, 1]), k=2)
     assert calinski_harabasz(points, a) == math.inf
 
 
 def test_empty_clusters_reduce_effective_k():
     # k=3 declared, one column never wins: CH must use k_eff = 2.
-    a = ClusterAssignment(labels=np.array([0, 0, 1, 1]), k=3, source="test")
+    a = ClusterAssignment(labels=np.array([0, 0, 1, 1]), k=3)
     assert calinski_harabasz(FOUR_POINTS, a) == 8.0
 
 
@@ -138,8 +138,8 @@ def test_ch_separated_beats_random_split():
     blob_a = rng.normal(0.0, 0.1, size=(5, 2))
     blob_b = rng.normal(10.0, 0.1, size=(5, 2)) + np.array([10.0, 0.0])
     points = np.vstack([blob_a, blob_b])
-    separated = ClusterAssignment(np.array([0] * 5 + [1] * 5), k=2, source="test")
-    random_split = ClusterAssignment(np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1]), k=2, source="test")
+    separated = ClusterAssignment(np.array([0] * 5 + [1] * 5), k=2)
+    random_split = ClusterAssignment(np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1]), k=2)
     assert calinski_harabasz(points, separated) > calinski_harabasz(points, random_split)
 
 
@@ -151,7 +151,7 @@ def test_scatter_decomposition_100_random_sets():
         k = int(rng.integers(1, n))
         points = rng.normal(0.0, 5.0, size=(n, d))
         labels = rng.integers(0, k, size=n)
-        a = ClusterAssignment(labels=labels, k=k, source="test")
+        a = ClusterAssignment(labels=labels, k=k)
         w = within_dispersion(points, a)
         b = between_dispersion(points, a)
         total = total_scatter(points)
@@ -165,7 +165,7 @@ def test_ch_matches_bruteforce_20_instances():
         labels = rng.integers(0, 3, size=20)
         if len(set(labels.tolist())) < 2:
             labels[0], labels[1] = 0, 1
-        a = ClusterAssignment(labels=labels, k=3, source="test")
+        a = ClusterAssignment(labels=labels, k=3)
         mine = calinski_harabasz(points, a)
         oracle = ch_bruteforce(points, labels)
         assert abs(mine - oracle) <= 1e-9 * abs(oracle)
