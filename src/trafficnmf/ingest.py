@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -195,6 +197,14 @@ def _column_indices(header: list[str], schema: ColumnMapping) -> list[int]:
     return indices
 
 
+# The input is read in blocks of whole lines of about this many characters.
+# Blocks stay small because the five string columns of one block are alive
+# at once.
+_BLOCK_CHARS = 1 << 16
+
+_REASONS = ("malformed", "negative count", "unmappable hour", "coordinates out of range")
+
+
 def parse_records(
     stream: io.TextIOBase | str,
     schema: ColumnMapping | None = None,
@@ -207,6 +217,10 @@ def parse_records(
     the returned rejection summary; they never abort the parse. A field
     missing from a short row counts as empty. Blank lines are not rows.
 
+    Blocks of ASCII lines without quotes or bare "\\r" are split at their
+    delimiter offsets; from the first block that is not, the rest of the
+    input goes through csv, with the same results.
+
     Raises MissingColumnError if the header lacks a mapped column,
     DataError if it names a mapped column twice or if csv cannot split a
     line (naming the line), and EmptyInputError if no data rows are
@@ -215,81 +229,167 @@ def parse_records(
     schema = schema or ColumnMapping()
     if isinstance(stream, str):
         stream = io.StringIO(stream)
+    rejections = RejectionSummary()
+    blocks = []
+    n_rows = 0
+    for fields, lines in _split_rows(stream, schema):
+        n_rows += len(lines)
+        blocks.append(_validate(fields, lines, rejections))
+    if n_rows == 0:
+        raise EmptyInputError("input has a header but no data rows")
+    locs, lats, lons, hours, counts = (np.concatenate(column) for column in zip(*blocks))
+    table = RecordTable(location_ids=locs, latitude=lats, longitude=lons,
+                        hour=hours.astype(np.int64), count=counts, period_label=period_label)
+    return ParseResult(table, rejections)
 
-    reader = csv.reader(stream, delimiter=schema.delimiter)
+
+def _split_rows(stream, schema: ColumnMapping):
+    """Yield the mapped fields of the data rows, as five string columns, and
+    the physical line on which each row ends, one block at a time."""
+    delimiter = ord(schema.delimiter)
+    limit = csv.field_size_limit()
+    indices = None
+    line_no = 0  # physical lines read so far
+    while block := stream.readlines(_BLOCK_CHARS):
+        text = "".join(block)
+        if not _is_plain(text, max(map(len, block)), limit):
+            break
+        first = line_no + 1
+        line_no += len(block)
+        if indices is None:
+            header = block[0].rstrip("\r\n")
+            indices = _column_indices(header.split(schema.delimiter) if header else [], schema)
+            text = text[len(block[0]):]
+            first += 1
+        yield _split_plain(text, indices, delimiter, first)
+    if not block:  # every block was plain
+        if indices is None:
+            raise EmptyInputError("input has no header row")
+        return
+
+    reader = csv.reader(itertools.chain(block, stream), delimiter=schema.delimiter)
     try:
-        return _parse_rows(reader, schema, period_label)
+        if indices is None:
+            indices = _column_indices(next(reader), schema)
+        yield from _split_csv(reader, indices, line_no)
     except csv.Error as e:  # e.g. a bare "\r" in an unquoted field of a str, or a
         # field longer than csv.field_size_limit()
-        raise DataError(f"line {reader.line_num}: {e}") from None
+        raise DataError(f"line {line_no + reader.line_num}: {e}") from None
 
 
-def _parse_rows(reader, schema: ColumnMapping, period_label: str) -> ParseResult:
-    header = next(reader, None)
-    if header is None:
-        raise EmptyInputError("input has no header row")
-    indices = _column_indices(header, schema)
+def _is_plain(text: str, longest: int, limit: int) -> bool:
+    """Whether csv would split each line of `text` at every delimiter: ASCII,
+    no quote, "\\r" only in "\\r\\n" and no line longer than csv's field limit."""
+    return (text.isascii() and '"' not in text and longest <= limit
+            and ("\r" not in text or text.count("\r") == text.count("\r\n")))
+
+
+def _split_plain(text: str, indices: list[int], delimiter: int, first_line: int):
+    """Split a plain block (`_is_plain`) at its newline and delimiter offsets:
+    the mapped fields of each non-blank line, "" where a line is short, and
+    the line numbers of those lines, the first line being `first_line`."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")  # a plain block has no other "\r"
+    if not text.endswith("\n"):
+        text += "\n"  # the input's last line has no line end
+    chars = np.frombuffer(text.encode("ascii"), np.uint8)
+    # Every separator, with one before the block; each line's fields lie
+    # between its separators.
+    bounds = np.concatenate(([-1], np.flatnonzero((chars == delimiter) | (chars == ord("\n")))))
+    line_ends = np.flatnonzero(chars[bounds[1:]] == ord("\n")) + 1
+    before = np.concatenate(([0], line_ends[:-1]))
+    rows = np.flatnonzero(bounds[line_ends] > bounds[before] + 1)
+    # One row per non-blank line, one column per mapped field.
+    k = np.array(indices)
+    before = before[rows, None]
+    present = k < line_ends[rows, None] - before
+    at = np.minimum(before + k, len(bounds) - 2)
+    begin = np.where(present, bounds[at] + 1, 0).ravel()
+    end = np.where(present, bounds[at + 1], 0).ravel()
+    # Gather the fields, row by row, into one string in which "\n", which no
+    # field holds, ends each field, and split that string once.
+    size = end - begin + 1
+    out = np.cumsum(size) - size
+    source = np.arange(size.sum()) + np.repeat(begin - out, size)
+    source[out + size - 1] = len(text) - 1
+    picked = chars[source].tobytes().decode("ascii").split("\n")
+    return [picked[j:-1:len(k)] for j in range(len(k))], rows + first_line
+
+
+def _split_csv(reader, indices: list[int], line_no: int):
+    """Pick the mapped fields of each row csv splits, "" where a row is short,
+    and the physical line on which it ends, `line_no` lines having been read
+    before the reader's first."""
     pick = operator.itemgetter(*indices)
     width = max(indices) + 1
-
-    locs: list[str] = []
-    lats: list[float] = []
-    lons: list[float] = []
-    hours: list[float] = []
-    counts: list[float] = []
-    rejections = RejectionSummary()
-    reject = rejections.add
-    n_rows = 0
+    batch = max(1, _BLOCK_CHARS // 64)  # about the rows of one block
+    picked: list[tuple[str, ...]] = []
+    lines: list[int] = []
     for row in reader:
         if not row:
             continue
-        n_rows += 1
         if len(row) < width:
             row += [""] * (width - len(row))
-        loc, lat, lon, hour, count = pick(row)
-        loc = loc.strip()
-        try:
-            lat = float(lat)
-            lon = float(lon)
-            count = float(count)
-        except ValueError:
-            reject(reader.line_num, "malformed")
-            continue
-        # Counts must be integral: "120.0" is accepted, a truncatable "120.7" is not.
-        if not loc or not count.is_integer():
-            reject(reader.line_num, "malformed")
-            continue
-        if count < 0:
-            reject(reader.line_num, "negative count")
-            continue
-        try:
-            hour = float(hour)
-        except ValueError:
-            reject(reader.line_num, "unmappable hour")
-            continue
-        if not (hour.is_integer() and 0 <= hour <= 23):
-            reject(reader.line_num, "unmappable hour")
-            continue
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-            reject(reader.line_num, "coordinates out of range")
-            continue
-        locs.append(loc)
-        lats.append(lat)
-        lons.append(lon)
-        hours.append(hour)
-        counts.append(count)
+        picked.append(pick(row))
+        lines.append(reader.line_num)
+        if len(picked) == batch:
+            yield list(zip(*picked)), np.array(lines) + line_no
+            picked, lines = [], []
+    if picked:
+        yield list(zip(*picked)), np.array(lines) + line_no
 
-    if n_rows == 0:
-        raise EmptyInputError("input has a header but no data rows")
-    table = RecordTable(
-        location_ids=np.array(locs, dtype=object),
-        latitude=np.array(lats, dtype=float),
-        longitude=np.array(lons, dtype=float),
-        hour=np.array(hours, dtype=float).astype(np.int64),
-        count=np.array(counts, dtype=float),
-        period_label=period_label,
-    )
-    return ParseResult(table, rejections)
+
+def _floats(column) -> tuple[np.ndarray, np.ndarray]:
+    """A column's values as floats, NaN where a value does not parse, and the
+    mask of those values. Values are parsed one at a time only when the
+    column holds one that does not parse."""
+    n = len(column)
+    try:
+        return np.fromiter(map(float, column), float, n), np.zeros(n, bool)
+    except ValueError:
+        pass
+    values = []
+    failed = np.zeros(n, bool)
+    for i, text in enumerate(column):
+        try:
+            values.append(float(text))
+        except ValueError:
+            values.append(math.nan)
+            failed[i] = True
+    return np.array(values, dtype=float), failed
+
+
+def _integral(values: np.ndarray) -> np.ndarray:
+    return np.isfinite(values) & (np.floor(values) == values)
+
+
+def _validate(fields, lines: np.ndarray, rejections: RejectionSummary):
+    """Check one block of rows, add its rejections in row order and return
+    its accepted rows as five arrays.
+
+    Each row's reason is the first of the checks that fails, in this order:
+    location, latitude, longitude or count missing or not a number, or a
+    count that is not integral (malformed); a negative count; an hour that
+    is not a number or not an integer in 0..23; coordinates out of range.
+    """
+    loc_ids, lat, lon, hour, count = fields
+    loc_ids = list(map(str.strip, loc_ids))
+    (lat, bad_lat), (lon, bad_lon), (hour, bad_hour), (count, bad_count) = map(
+        _floats, (lat, lon, hour, count))
+    has_id = np.fromiter(map(bool, loc_ids), bool, len(loc_ids))
+
+    reason = np.full(len(loc_ids), -1)
+    # Later assignments take precedence, so the checks run here in reverse.
+    reason[~((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0))] = 3
+    reason[bad_hour | ~(_integral(hour) & (0 <= hour) & (hour <= 23))] = 2
+    reason[count < 0] = 1
+    reason[bad_lat | bad_lon | bad_count | ~has_id | ~_integral(count)] = 0
+    rejected = np.flatnonzero(reason >= 0)
+    for line, r in zip(lines[rejected].tolist(), reason[rejected].tolist()):
+        rejections.add(line, _REASONS[r])
+
+    keep = reason < 0
+    return np.array(loc_ids, dtype=object)[keep], lat[keep], lon[keep], hour[keep], count[keep]
 
 
 def build_matrix(

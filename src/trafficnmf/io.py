@@ -109,8 +109,9 @@ def read_count_matrix(path: Path | str, period_label: str | None = None) -> Coun
 
     The period label defaults to the file stem since the table itself does
     not carry one. Raises DataError, naming the file and line, on a byte
-    that is not UTF-8, a line csv cannot split, a repeated hour column, a
-    row with the wrong number of cells, an empty location id, a non-numeric
+    that is not UTF-8, a line csv cannot split, an hour column other than
+    h followed by an hour 0..23, a repeated hour column, a row with the
+    wrong number of cells, an empty location id, a non-numeric
     cell, a repeated location id, a negative count or coordinates out of
     range. NaN and infinite counts are left for the solver to reject.
     """
@@ -127,11 +128,14 @@ def read_count_matrix(path: Path | str, period_label: str | None = None) -> Coun
                 raise DataError(f"{path} is not a count-matrix table (header {header[:3]})")
             hours = []
             for name in header[3:]:
-                if not (name.startswith("h") and name[1:].isdigit()):
-                    raise DataError(f"unexpected hour column {name!r} in {path}")
-                if int(name[1:]) in hours:
+                digits = name[1:]
+                # isdigit alone would pass "²", which int() rejects.
+                if not (name.startswith("h") and digits.isascii() and digits.isdigit()
+                        and int(digits) <= 23):
+                    raise DataError(f"{path}, line 1: unexpected hour column {name!r}")
+                if int(digits) in hours:
                     raise DataError(f"{path}, line 1: hour column {name!r} appears more than once")
-                hours.append(int(name[1:]))
+                hours.append(int(digits))
             ids: list[str] = []
             rows: list[list[float]] = []
             lines: list[int] = []
@@ -244,23 +248,25 @@ def write_synth_period(records_path: Path | str, w_path: Path | str, h_path: Pat
 
 def write_spatial_geojson(path: Path | str, patterns: PatternSet) -> None:
     """One point feature per location with per-pattern loadings and the
-    dominant pattern, for external map rendering."""
-    dominant = np.argmax(patterns.spatial, axis=1)
-    features = []
-    for i, (loc_id, lat, lon) in enumerate(patterns.locations):
-        properties = {"location_id": loc_id, "dominant_pattern": _plabel(int(dominant[i]))}
-        for g in range(patterns.rank):
-            properties[_plabel(g)] = float(patterns.spatial[i, g])
-        features.append({
-            "type": "Feature",
-            "geometry": {"type": "Point", "coordinates": [float(lon), float(lat)]},
-            "properties": properties,
-        })
-    # Compact separators without an indent let json use its C encoder; map
-    # tools do not need the file to be readable by eye.
-    text = json.dumps({"type": "FeatureCollection", "features": features},
-                      separators=(",", ":"), sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    dominant pattern, for external map rendering.
+
+    The file holds what json.dumps writes with sorted keys and compact
+    separators, built from one text template per feature.
+    """
+    order = sorted(range(patterns.rank), key=_plabel)  # json's key order: p10 before p2
+    feature = ('{"geometry":{"coordinates":[%s,%s],"type":"Point"},'
+               '"properties":{"dominant_pattern":"%s","location_id":%s,'
+               + ",".join(f'"{_plabel(g)}":%s' for g in order) + '},"type":"Feature"}')
+    lat_lon = np.array([loc[1:] for loc in patterns.locations], dtype=float).reshape(-1, 2)
+    numbers = np.hstack([lat_lon[:, ::-1], patterns.spatial[:, order]])
+    # json writes a float as repr does, but NaN and the infinities as NaN and Infinity.
+    number = repr if np.isfinite(numbers).all() else json.dumps
+    dominant = np.argmax(patterns.spatial, axis=1).tolist()
+    features = ",".join(
+        feature % (*map(number, row[:2]), _plabel(g), json.dumps(loc[0]), *map(number, row[2:]))
+        for loc, row, g in zip(patterns.locations, numbers.tolist(), dominant))
+    Path(path).write_text('{"features":[' + features + '],"type":"FeatureCollection"}\n',
+                          encoding="utf-8")
 
 
 def comparison_to_dict(report: ComparisonReport, set_a: PatternSet, set_b: PatternSet) -> dict:

@@ -194,6 +194,18 @@ def test_factorize_invalid_table_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "A_location_loadings.csv").exists()
 
 
+@pytest.mark.parametrize("hour", ["h\u00b2", "h99"])
+def test_factorize_table_with_a_column_that_names_no_hour_exits_2(tmp_path, capsys, hour):
+    table = tmp_path / "bad.csv"
+    table.write_text(f"location_id,latitude,longitude,h07,{hour}\nL1,50,0,3,4\nL2,51,0,1,2\n",
+                     encoding="utf-8")
+    code = run_cli("factorize", "--input-a", str(table), "--rank-a", "1",
+                   "--label-a", "A", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"error: {table}, line 1: unexpected hour column {hour!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "A_time_loadings.csv").exists()
+
+
 def test_rank_scan_without_fitting_rank_exits_1(tmp_path, capsys):
     rows = [[(i * 7 + j * 3) % 11 for j in range(12)] for i in range(30)]
     table = write_count_table(tmp_path / "twelve.csv", rows)

@@ -2,12 +2,14 @@ import csv
 import io
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trafficnmf import ingest
 from trafficnmf.errors import DataError, EmptyInputError, MissingColumnError, MixedPeriodsError
 from trafficnmf.ingest import (
     ColumnMapping,
@@ -256,10 +258,17 @@ def test_rejection_samples_count_lines_inside_quoted_fields():
     assert result.rejections.samples == [(4, "negative count")]
 
 
-def reference_parse_and_build(text, schema, label, window):
+def reference_parse_and_build(stream, schema, label, window):
     """Row-object parse and sorted-loop aggregation, as before the columnar path,
     with short rows' missing location read as empty and lines counted physically."""
-    reader = csv.DictReader(io.StringIO(text), delimiter=schema.delimiter)
+    reader = csv.DictReader(stream, delimiter=schema.delimiter)
+    try:
+        return _reference(reader, schema, label, window)
+    except csv.Error as e:
+        raise DataError(f"line {reader.reader.line_num}: {e}") from None
+
+
+def _reference(reader, schema, label, window):
     for name in schema.required():
         if name not in reader.fieldnames:
             raise MissingColumnError(name)
@@ -320,6 +329,8 @@ def _outcome(compute):
         return compute()
     except (EmptyInputError, MissingColumnError) as e:
         return type(e).__name__
+    except DataError as e:  # a line csv cannot split: the same line and message
+        return str(e)
 
 
 def _mostly(valid, odd):
@@ -343,57 +354,95 @@ _FIELDS = {
                   st.sampled_from(["7.0", "-0", "1e20"])),
         st.sampled_from(["-3", "-12", "2.5", "nan", "inf", "", "many"])),
 }
-_EXTRA = st.text(alphabet="ab ,;|\t\"\n", max_size=4)
+# Extra columns of the first rows hold plain text; later rows may add
+# delimiters, quotes, line ends and non-ASCII letters, which csv.writer quotes
+# or leaves as they are.
+_PLAIN_EXTRA = st.text(alphabet="ab ", max_size=4)
+_ODD_EXTRA = st.text(alphabet="ab ,;|\t\"\n\r\u00e9\u03a9", max_size=4)
 
 
 @st.composite
 def raw_tables(draw):
     delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
     schema = ColumnMapping(delimiter=delimiter)
     roles = draw(st.permutations(list(_FIELDS) + ["road_name", "direction"]))
     names = [getattr(schema, role, role) for role in roles]
-    full_row = st.tuples(*(_FIELDS.get(role, _EXTRA) for role in roles)).map(list)
-    # Some rows are cut short and followed by a blank line.
-    row = st.tuples(full_row, st.integers(0, 9), st.integers(1, len(roles) - 1)).map(
-        lambda r: (r[0][:r[2]], True) if r[1] == 9 else (r[0], False))
-    rows = draw(st.lists(row, min_size=8, max_size=30))
+
+    def rows(extra):
+        full_row = st.tuples(*(_FIELDS.get(role, extra) for role in roles)).map(list)
+        # Some rows are cut short, some are followed by a blank line.
+        row = st.tuples(full_row, st.integers(0, 9), st.integers(1, len(roles) - 1),
+                        st.integers(0, 9)).map(
+            lambda r: (r[0][:r[2]] if r[1] == 9 else r[0], r[3] == 9))
+        return st.lists(row, max_size=20)
+
+    plain = draw(rows(_PLAIN_EXTRA))
+    odd = draw(rows(_ODD_EXTRA))
     # Repeat some rows so (location, hour) cells get several records.
-    rows = draw(st.permutations(rows + draw(st.lists(st.sampled_from(rows), max_size=10))))
+    both = plain + odd
+    if both:
+        odd += draw(st.lists(st.sampled_from(both), max_size=10))
     out = io.StringIO()
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(out, delimiter=delimiter, lineterminator=line_end)
     writer.writerow(names)
-    for fields, blank_after in rows:
-        writer.writerow(fields)
-        if blank_after:
-            out.write("\n")
+
+    def write(rows):
+        for fields, blank_after in rows:
+            writer.writerow(fields)
+            if blank_after:
+                out.write(line_end)
+        return out.tell()
+
+    plain_end = write(plain)
+    write(draw(st.permutations(odd)))
+    text = out.getvalue()
+    if draw(st.booleans()):
+        # A bare "\r" after the plain rows: a str input cannot split its line,
+        # a file opened with newline="" ends a line there.
+        at = draw(st.integers(plain_end, len(text)))
+        text = text[:at] + "\r" + text[at:]
     start = draw(st.integers(0, 23))
     window = draw(st.sampled_from([HourWindow(0, 23), HourWindow(), HourWindow(start, 23)]))
-    return out.getvalue(), schema, window
+    return text, schema, window
 
 
-@settings(max_examples=100, deadline=None)
-@given(raw_tables())
-def test_columnar_ingest_matches_record_reference(table):
+@settings(max_examples=150, deadline=None)
+@given(raw_tables(), st.booleans())
+def test_columnar_ingest_matches_record_reference(table, as_file):
+    """The columnar parse equals the record reference for a str and for a file
+    opened with newline="", in one block and in blocks of about 50 characters,
+    where the first block that is not plain ASCII without quotes switches the
+    rest of the input to csv."""
     text, schema, window = table
 
-    def columnar():
-        result = parse_records(text, schema, period_label="P")
-        return result, build_matrix(result.records, window)
+    def stream():
+        if as_file:  # as the CLI opens its inputs
+            return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8",
+                                    newline="")
+        return io.StringIO(text)
 
     def reference():
-        return reference_parse_and_build(text, schema, "P", window)
+        return reference_parse_and_build(stream(), schema, "P", window)
 
-    got, want = _outcome(columnar), _outcome(reference)
-    if isinstance(want, str):
-        assert got == want
-        return
-    result, m = got
-    records, rejections, values, locations = want
-    assert len(result.records) == len(records)
-    assert result.rejections == rejections
-    # The same rows handed over as record objects take the same path.
-    for built in (m, build_matrix(records, window)):
-        assert np.array_equal(built.values, values)
-        assert repr(built.locations) == repr(locations)
-        assert built.hours == window.hours()
-        assert built.period_label == "P"
+    def columnar():
+        result = parse_records(stream() if as_file else text, schema, period_label="P")
+        return result, build_matrix(result.records, window)
+
+    want = _outcome(reference)
+    for block_chars in (ingest._BLOCK_CHARS, 50):
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+            got = _outcome(columnar)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        result, m = got
+        records, rejections, values, locations = want
+        assert len(result.records) == len(records)
+        assert result.rejections == rejections
+        # The same rows handed over as record objects take the same path.
+        for built in (m, build_matrix(records, window)):
+            assert np.array_equal(built.values, values)
+            assert repr(built.locations) == repr(locations)
+            assert built.hours == window.hours()
+            assert built.period_label == "P"

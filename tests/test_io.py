@@ -130,6 +130,17 @@ def test_read_count_matrix_rejects_a_non_utf8_byte_naming_its_line(tmp_path, new
         f"{path}, line 2501: byte 0xa3 is not UTF-8; the whole file is rejected")
 
 
+@pytest.mark.parametrize("hours", ["h07,h\u00b2", "h07,h99", "h07,h24", "h07,x08"],
+                         ids=["superscript-digit", "h99", "h24", "no-h"])
+def test_read_count_matrix_rejects_a_column_that_names_no_hour(tmp_path, hours):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"location_id,latitude,longitude,{hours}\nL1,50,0,3,4\n", encoding="utf-8")
+    with pytest.raises(DataError) as excinfo:
+        tio.read_count_matrix(path)
+    name = hours.split(",")[1]
+    assert str(excinfo.value) == f"{path}, line 1: unexpected hour column {name!r}"
+
+
 def test_read_count_matrix_rejects_repeated_hour_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("location_id,latitude,longitude,h07,h07\nL1,50,0,3,4\n")
