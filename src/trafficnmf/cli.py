@@ -305,16 +305,16 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def _period(cfg: PipelineConfig, path: Path, label: str,
-            rank: int | None) -> tuple[CountMatrix, PatternSet, tuple[str, str]]:
+            rank: int | None) -> tuple[PatternSet, tuple[str, str]]:
     """Everything `run` does for one period: ingest, count table, normalize,
     scan or fixed-rank solve, factor tables, patterns and pattern files.
 
-    Returns the count matrix, the patterns and the (stdout, stderr) text of
-    the period, captured so that a worker process never writes to the
-    shared streams. An exception leaves with `stage`, the pipeline stage it
-    came from, and `output`, the text captured until then.
+    Returns the patterns, which carry the count matrix, and the (stdout,
+    stderr) text of the period, captured so that a worker process never
+    writes to the shared streams. An exception leaves with `stage`, the
+    pipeline stage it came from, and `output`, the text captured until then.
     """
-    from .patterns import extract_patterns, normalization_column_scales
+    from .patterns import extract_patterns
 
     out, err = StringIO(), StringIO()
     stage = "ingest"
@@ -328,7 +328,7 @@ def _period(cfg: PipelineConfig, path: Path, label: str,
             nmf_cfg, pair = _solve(cfg, x, label, rank)
             _write_factors(cfg.out, label, nmf_cfg, pair, matrix)
             stage = "pattern extraction"
-            patterns = extract_patterns(pair, matrix, normalization_column_scales(x))
+            patterns = extract_patterns(pair, x)
             tio.write_temporal_patterns(
                 _out_file(cfg.out, "temporal_patterns_{}.csv", label), patterns)
             tio.write_spatial_geojson(
@@ -336,7 +336,7 @@ def _period(cfg: PipelineConfig, path: Path, label: str,
     except BaseException as e:
         e.stage, e.output = stage, (out.getvalue(), err.getvalue())
         raise
-    return matrix, patterns, (out.getvalue(), err.getvalue())
+    return patterns, (out.getvalue(), err.getvalue())
 
 
 def _period_worker(conn, cfg: PipelineConfig, path: Path, label: str,
@@ -427,20 +427,18 @@ def cmd_run(args: argparse.Namespace) -> int:
                 process = ctx.Process(target=_period_worker, args=(child_conn, *period_b))
                 process.start()
             worker = process
-        matrix_a, patterns_a, output = _period(cfg, path_a, cfg.label_a, cfg.rank_a)
+        patterns_a, output = _period(cfg, path_a, cfg.label_a, cfg.rank_a)
         _emit(output)
         if worker is not None:
-            matrix_b, patterns_b, output = _receive(worker, conn, cfg.label_b)
+            patterns_b, output = _receive(worker, conn, cfg.label_b)
         else:
-            matrix_b, patterns_b, output = _period(*period_b)
+            patterns_b, output = _period(*period_b)
         _emit(output)
 
         stage = "comparison"
         match = match_patterns(patterns_a, patterns_b, cfg.threshold)
-        report = compare_periods(matrix_a, matrix_b, match, patterns_a, patterns_b)
-        tio.write_comparison_report(
-            cfg.out / "report.json", cfg.out / "summary.txt", report, patterns_a, patterns_b,
-        )
+        report = compare_periods(patterns_a, patterns_b, match)
+        tio.write_comparison_report(cfg.out / "report.json", cfg.out / "summary.txt", report)
     except BaseException as e:
         if worker is not None:
             worker.terminate()

@@ -226,7 +226,7 @@ def write_scan_table(path: Path | str, result: RankScanResult) -> None:
 def write_temporal_patterns(path: Path | str, patterns: PatternSet) -> None:
     """Unit-max temporal curves, one column per pattern."""
     _write_table(path, ["hour", *(_plabel(g) for g in range(patterns.rank))],
-                 _hour_rows(patterns.hours, patterns.temporal))
+                 _hour_rows(patterns.matrix.hours, patterns.temporal))
 
 
 def write_synth_period(records_path: Path | str, w_path: Path | str, h_path: Path | str,
@@ -257,19 +257,20 @@ def write_spatial_geojson(path: Path | str, patterns: PatternSet) -> None:
     feature = ('{"geometry":{"coordinates":[%s,%s],"type":"Point"},'
                '"properties":{"dominant_pattern":"%s","location_id":%s,'
                + ",".join(f'"{_plabel(g)}":%s' for g in order) + '},"type":"Feature"}')
-    lat_lon = np.array([loc[1:] for loc in patterns.locations], dtype=float).reshape(-1, 2)
+    locations = patterns.matrix.locations
+    lat_lon = np.array([loc[1:] for loc in locations], dtype=float).reshape(-1, 2)
     numbers = np.hstack([lat_lon[:, ::-1], patterns.spatial[:, order]])
     # json writes a float as repr does, but NaN and the infinities as NaN and Infinity.
     number = repr if np.isfinite(numbers).all() else json.dumps
-    dominant = np.argmax(patterns.spatial, axis=1).tolist()
+    dominant = patterns.dominant_patterns().tolist()
     features = ",".join(
         feature % (*map(number, row[:2]), _plabel(g), json.dumps(loc[0]), *map(number, row[2:]))
-        for loc, row, g in zip(patterns.locations, numbers.tolist(), dominant))
+        for loc, row, g in zip(locations, numbers.tolist(), dominant))
     Path(path).write_text('{"features":[' + features + '],"type":"FeatureCollection"}\n',
                           encoding="utf-8")
 
 
-def comparison_to_dict(report: ComparisonReport, set_a: PatternSet, set_b: PatternSet) -> dict:
+def comparison_to_dict(report: ComparisonReport) -> dict:
     # Patterns are referenced by the same p1..pr labels used as column
     # names in the factor and temporal tables.
     out = {
@@ -290,39 +291,32 @@ def comparison_to_dict(report: ComparisonReport, set_a: PatternSet, set_b: Patte
         "unmatched_b": [_plabel(j) for j in report.match.unmatched_b],
         "disappeared_count": len(report.match.unmatched_a),
     }
-    for key, label, patterns, total, counts in (
-        ("period_a", report.period_a, set_a, report.total_a, report.dominant_counts_a),
-        ("period_b", report.period_b, set_b, report.total_b, report.dominant_counts_b),
-    ):
+    for key, patterns in (("period_a", report.set_a), ("period_b", report.set_b)):
+        counts = patterns.dominant_location_counts()
         out[key] = {
-            "label": label,
+            "label": patterns.matrix.period_label,
             "rank": patterns.rank,
-            "total_count": total,
+            "total_count": patterns.matrix.total(),
             "dominant_location_counts": {_plabel(g): n for g, n in enumerate(counts)},
             "temporal_peak_intensity": [float(v) for v in patterns.column_norms],
         }
     return out
 
 
-def write_comparison_report(
-    json_path: Path | str,
-    text_path: Path | str,
-    report: ComparisonReport,
-    set_a: PatternSet,
-    set_b: PatternSet,
-) -> None:
-    write_json(json_path, comparison_to_dict(report, set_a, set_b))
+def write_comparison_report(json_path: Path | str, text_path: Path | str,
+                            report: ComparisonReport) -> None:
+    write_json(json_path, comparison_to_dict(report))
     Path(text_path).write_text(render_summary(report), encoding="utf-8")
 
 
 def render_summary(report: ComparisonReport) -> str:
-    a, b = report.period_a, report.period_b
+    set_a, set_b = report.set_a, report.set_b
+    a, b = set_a.matrix.period_label, set_b.matrix.period_label
     lines = [
         f"Period comparison: {a} vs {b}",
-        f"Total vehicle count: {_fmt(report.total_a)} -> {_fmt(report.total_b)} "
+        f"Total vehicle count: {_fmt(set_a.matrix.total())} -> {_fmt(set_b.matrix.total())} "
         f"({report.total_reduction_pct:.1f}% reduction)",
-        f"Patterns: {len(report.dominant_counts_a)} in {a}, "
-        f"{len(report.dominant_counts_b)} in {b} "
+        f"Patterns: {set_a.rank} in {a}, {set_b.rank} in {b} "
         f"(match threshold {report.match.threshold:g})",
     ]
     if report.per_pattern_notes:
@@ -341,8 +335,8 @@ def render_summary(report: ComparisonReport) -> str:
     lines.append(f"Disappeared from {a}: {gone}")
     lines.append(f"New in {b}: {new}")
     lines.append("Dominant-pattern location counts:")
-    lines.append("  " + a + ": " + _dominant_line(report.dominant_counts_a))
-    lines.append("  " + b + ": " + _dominant_line(report.dominant_counts_b))
+    lines.append("  " + a + ": " + _dominant_line(set_a.dominant_location_counts()))
+    lines.append("  " + b + ": " + _dominant_line(set_b.dominant_location_counts()))
     return "\n".join(lines) + "\n"
 
 

@@ -20,7 +20,9 @@ from .nmf import DEFAULT_MATCH_THRESHOLD, FactorPair
 
 @dataclass
 class PatternSet:
-    """Patterns of one period: temporal curves, spatial loadings, labels.
+    """Patterns of one period: temporal curves and spatial loadings, with
+    the count matrix they were extracted from, which gives the hours,
+    locations, period label and raw total.
 
     Temporal columns are rescaled to unit maximum for display and
     matching; the scale divided out of each column is recorded in
@@ -30,9 +32,7 @@ class PatternSet:
 
     temporal: np.ndarray
     spatial: np.ndarray
-    hours: list[int]
-    locations: list[tuple[str, float, float]]
-    period_label: str
+    matrix: CountMatrix
     column_norms: np.ndarray
 
     @property
@@ -43,12 +43,15 @@ class PatternSet:
         return self.spatial @ self.temporal.T
 
     def peak_hour(self, pattern: int) -> int:
-        return self.hours[int(np.argmax(self.temporal[:, pattern]))]
+        return self.matrix.hours[int(np.argmax(self.temporal[:, pattern]))]
+
+    def dominant_patterns(self) -> np.ndarray:
+        """The pattern each location loads most strongly on."""
+        return np.argmax(self.spatial, axis=1)
 
     def dominant_location_counts(self) -> list[int]:
         """How many locations load most strongly on each pattern."""
-        dominant = np.argmax(self.spatial, axis=1)
-        return [int((dominant == g).sum()) for g in range(self.rank)]
+        return np.bincount(self.dominant_patterns(), minlength=self.rank).tolist()
 
 
 @dataclass
@@ -77,15 +80,11 @@ class PatternNote:
 class ComparisonReport:
     """Cross-period variation summary built from raw counts and matched patterns."""
 
+    set_a: PatternSet
+    set_b: PatternSet
     match: PatternMatch
-    total_a: float
-    total_b: float
     total_reduction_pct: float
     per_pattern_notes: list[PatternNote]
-    period_a: str
-    period_b: str
-    dominant_counts_a: list[int]
-    dominant_counts_b: list[int]
 
 
 def normalization_column_scales(x: NormalizedMatrix) -> np.ndarray:
@@ -96,43 +95,28 @@ def normalization_column_scales(x: NormalizedMatrix) -> np.ndarray:
     return x.scale
 
 
-def extract_patterns(
-    pair: FactorPair,
-    matrix: CountMatrix,
-    column_scale: np.ndarray | None = None,
-) -> PatternSet:
-    """Turn a factor pair into a labeled pattern set.
+def extract_patterns(pair: FactorPair, x: NormalizedMatrix) -> PatternSet:
+    """Turn the factor pair of normalized matrix x into the pattern set of
+    x's count matrix.
 
-    When the factors come from a normalized matrix, pass the per-hour
-    normalization scales (normalization_column_scales) as column_scale:
-    temporal curves are then expressed in vehicle-count units, which makes
-    them comparable across periods whose hour columns were normalized with
-    different ranges.
-
-    Each temporal column is then divided by its maximum and the spatial
-    column multiplied by it, preserving the factor product exactly.
+    Temporal curves are multiplied by x's per-hour normalization scales,
+    which expresses them in vehicle-count units and makes them comparable
+    across periods whose hour columns were normalized with different
+    ranges. Each temporal column is then divided by its maximum and the
+    spatial column multiplied by it, preserving the factor product exactly.
     All-zero temporal columns keep scale 1 and stay zero.
     """
+    matrix = x.source
     if pair.h.shape[0] != len(matrix.hours) or pair.w.shape[0] != len(matrix.locations):
         raise ValueError(
             f"factor shapes ({pair.w.shape}, {pair.h.shape}) do not match "
             f"matrix labels ({len(matrix.locations)} locations, {len(matrix.hours)} hours)"
         )
-    h = pair.h
-    if column_scale is not None:
-        h = h * np.asarray(column_scale, dtype=float)[:, None]
+    h = pair.h * x.scale[:, None]
     peaks = h.max(axis=0)
     scales = np.where(peaks > 0, peaks, 1.0)
-    temporal = h / scales
-    spatial = pair.w * scales
-    return PatternSet(
-        temporal=temporal,
-        spatial=spatial,
-        hours=list(matrix.hours),
-        locations=list(matrix.locations),
-        period_label=matrix.period_label,
-        column_norms=scales,
-    )
+    return PatternSet(temporal=h / scales, spatial=pair.w * scales, matrix=matrix,
+                      column_norms=scales)
 
 
 def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,8 +146,8 @@ def match_patterns(
     never drive the matching: the two periods may cover different
     location sets.
     """
-    if a.hours != b.hours:
-        raise HourBinMismatchError(f"hour bins differ: {a.hours} vs {b.hours}")
+    if a.matrix.hours != b.matrix.hours:
+        raise HourBinMismatchError(f"hour bins differ: {a.matrix.hours} vs {b.matrix.hours}")
     if not (0.0 <= threshold <= 1.0):
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
 
@@ -193,24 +177,17 @@ def match_patterns(
     )
 
 
-def compare_periods(
-    raw_a: CountMatrix,
-    raw_b: CountMatrix,
-    match: PatternMatch,
-    set_a: PatternSet,
-    set_b: PatternSet,
-) -> ComparisonReport:
+def compare_periods(set_a: PatternSet, set_b: PatternSet, match: PatternMatch) -> ComparisonReport:
     """Quantify how traffic changed from period A to period B.
 
-    The aggregate reduction always comes from raw count totals, never
-    from normalized values. Matched pairs are annotated with their
-    similarity and peak-hour shift.
+    The aggregate reduction always comes from the raw count totals of the
+    sets' matrices, never from normalized values. Matched pairs are
+    annotated with their similarity and peak-hour shift.
     """
-    total_a = raw_a.total()
-    total_b = raw_b.total()
+    total_a = set_a.matrix.total()
     if total_a == 0:
         raise ZeroTotalError("period A has zero total count; reduction undefined")
-    reduction = 100.0 * (total_a - total_b) / total_a
+    reduction = 100.0 * (total_a - set_b.matrix.total()) / total_a
 
     notes = [
         PatternNote(
@@ -223,14 +200,5 @@ def compare_periods(
         )
         for i, j, sim in match.pairs
     ]
-    return ComparisonReport(
-        match=match,
-        total_a=total_a,
-        total_b=total_b,
-        total_reduction_pct=reduction,
-        per_pattern_notes=notes,
-        period_a=set_a.period_label,
-        period_b=set_b.period_label,
-        dominant_counts_a=set_a.dominant_location_counts(),
-        dominant_counts_b=set_b.dominant_location_counts(),
-    )
+    return ComparisonReport(set_a=set_a, set_b=set_b, match=match,
+                            total_reduction_pct=reduction, per_pattern_notes=notes)

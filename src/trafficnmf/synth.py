@@ -51,6 +51,10 @@ class SyntheticSpec:
             )
         if not self.noise_level >= 0:  # also rejects NaN
             raise ValueError(f"noise_level must be >= 0, got {self.noise_level}")
+        if not np.isfinite(self.noise_level):
+            raise ValueError(f"noise_level must be finite, got {self.noise_level}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -187,6 +191,8 @@ def generate_pair(
         raise ValueError(f"drop must be in 0..{spec.planted_rank - 1}, got {drop}")
     if count_scale <= 0:
         raise ValueError(f"count_scale must be > 0, got {count_scale}")
+    if not np.isfinite(count_scale):
+        raise ValueError(f"count_scale must be finite, got {count_scale}")
 
     period_one = generate_period(spec, period_label=period_a, window=window)
 

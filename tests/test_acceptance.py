@@ -21,7 +21,6 @@ from trafficnmf.patterns import (
     compare_periods,
     extract_patterns,
     match_patterns,
-    normalization_column_scales,
 )
 from trafficnmf.rank import ClusterAssignment, between_dispersion, calinski_harabasz, rank_scan, within_dispersion
 from trafficnmf.synth import SyntheticSpec, generate_period
@@ -72,10 +71,10 @@ def test_criterion_2_dataset_aggregate_reduction():
         norm_a, norm_b = minmax_normalize(matrix_a), minmax_normalize(matrix_b)
         pair_a = factorize(norm_a, NmfConfig(rank=6, seed=6))
         pair_b = factorize(norm_b, NmfConfig(rank=4, seed=4))
-        set_a = extract_patterns(pair_a, matrix_a, normalization_column_scales(norm_a))
-        set_b = extract_patterns(pair_b, matrix_b, normalization_column_scales(norm_b))
+        set_a = extract_patterns(pair_a, norm_a)
+        set_b = extract_patterns(pair_b, norm_b)
         match = match_patterns(set_a, set_b, threshold=0.8)
-        report = compare_periods(matrix_a, matrix_b, match, set_a, set_b)
+        report = compare_periods(set_a, set_b, match)
         assert abs(report.total_reduction_pct - 52.0) <= 5.0
 
 

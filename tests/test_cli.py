@@ -112,6 +112,13 @@ def test_nan_count_exits_3(tmp_path, capsys):
     (["synth", "--noise", "nan"], None, "noise_level must be >= 0, got nan"),
     (["synth", "--pair-drop", "1", "--label-a", "X", "--label-b", "X"], None,
      "give the same output file names"),
+    (["synth", "--noise", "inf"], None, "noise_level must be finite, got inf"),
+    (["synth", "--pair-drop", "1", "--pair-scale", "inf"], None,
+     "count_scale must be finite, got inf"),
+    (["synth", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+    (["run", "--seed", "-9"], None, "seed must be >= 0, got -9"),
+    (["rank-scan", "--seed", "-5"], None, "seed must be >= 0, got -5"),
+    (["factorize", "--rank-a", "2", "--seed", "-5"], None, "seed must be >= 0, got -5"),
 ])
 def test_bad_setting_exits_1_and_writes_nothing(tmp_path, synth_pair, capsys,
                                                 argv, config, message):

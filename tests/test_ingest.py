@@ -446,3 +446,62 @@ def test_columnar_ingest_matches_record_reference(table, as_file):
             assert repr(built.locations) == repr(locations)
             assert built.hours == window.hours()
             assert built.period_label == "P"
+
+
+# Cell text a reader may meet: numbers out of range or not finite, signed
+# zero, padding, an empty cell, Unicode digits, or arbitrary short text.
+READER_CELLS = _mostly(st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", " 5 ", "", "-1",
+                                        "7.5", "24", "91", "-91", "181", "L1", "\u0663", "1_0"]),
+                       st.text(max_size=5))
+# Column values. Now and then an id is blank or a count negative, so that
+# short tables, which one bad cell rejects, meet them often.
+READER_IDS = _mostly(st.from_regex(r"L[0-9]{1,3}", fullmatch=True), st.just(" "))
+READER_LATS = st.floats(-90, 90).map(repr)
+READER_LONS = st.floats(-180, 180).map(repr)
+READER_COUNTS = _mostly(st.integers(0, 10**6).map(str), st.just("-1"))
+
+
+def reader_rows(*columns, max_rows=8):
+    """Up to max_rows rows with one cell per column strategy. In half of the
+    rows one cell, in any column, is READER_CELLS text instead; one row in
+    twenty is a cell short and one a cell long."""
+    n = len(columns)
+
+    def build(drawn):
+        *cells, odd_at, odd, size = drawn
+        if odd_at >= n:
+            cells[odd_at - n] = odd
+        return cells[:-1] if size == 18 else cells + ["1"] if size == 19 else cells
+
+    row = st.tuples(*columns, st.integers(0, 2 * n - 1), READER_CELLS, st.integers(0, 19))
+    return st.lists(row.map(build), max_size=max_rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=reader_rows(*(_FIELDS[k] for k in ("location_id", "latitude", "longitude", "hour",
+                                                "count"))))
+def test_every_record_parse_records_accepts_is_valid(rows):
+    """Every record parse_records accepts holds the id and numbers of one
+    input row, and they are valid; any other input raises DataError."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(HEADER.split(","))
+    writer.writerows(rows)
+    try:
+        t = parse_records(out.getvalue()).records
+    except DataError:  # any other exception fails the test
+        return
+
+    def number(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return None
+
+    sources = {(row[0].strip(), *map(number, row[1:5])) for row in rows if len(row) >= 5}
+    assert all(r in sources for r in zip(t.location_ids, t.latitude, t.longitude, t.hour, t.count))
+    assert all(loc.strip() for loc in t.location_ids)
+    assert np.all((-90 <= t.latitude) & (t.latitude <= 90))
+    assert np.all((-180 <= t.longitude) & (t.longitude <= 180))
+    assert t.hour.dtype.kind == "i" and np.all((0 <= t.hour) & (t.hour <= 23))
+    assert np.all(np.isfinite(t.count) & (t.count >= 0) & (t.count == np.floor(t.count)))

@@ -14,13 +14,15 @@ from trafficnmf.errors import DataError, EmptyInputError, MissingInputError
 from trafficnmf.ingest import CountMatrix, HourWindow, build_matrix, minmax_normalize, parse_records
 from trafficnmf.nmf import NmfConfig, factorize
 from trafficnmf.patterns import (
+    PatternSet,
     compare_periods,
     extract_patterns,
     match_patterns,
-    normalization_column_scales,
 )
 from trafficnmf.rank import rank_scan
 from trafficnmf.synth import SyntheticSpec, generate_period
+
+from test_ingest import READER_COUNTS, READER_IDS, READER_LATS, READER_LONS, reader_rows
 
 
 @pytest.fixture
@@ -172,7 +174,7 @@ def test_factor_and_pattern_exports(tmp_path, matrix):
     assert diag["final_loss"] == pair.objective_trace[-1]
     assert diag["iterations_run"] == pair.iterations_run
 
-    ps = extract_patterns(pair, matrix, normalization_column_scales(x))
+    ps = extract_patterns(pair, x)
     tio.write_temporal_patterns(tmp_path / "temporal.csv", ps)
     rows = (tmp_path / "temporal.csv").read_text().splitlines()
     assert rows[0] == "hour,p1,p2,p3"
@@ -200,11 +202,10 @@ def test_scan_table(tmp_path, matrix):
 def test_comparison_report_files(tmp_path, matrix):
     x = minmax_normalize(matrix)
     pair = factorize(x, NmfConfig(rank=3, seed=5))
-    ps = extract_patterns(pair, matrix, normalization_column_scales(x))
+    ps = extract_patterns(pair, x)
     match = match_patterns(ps, ps)
-    report = compare_periods(matrix, matrix, match, ps, ps)
-    tio.write_comparison_report(tmp_path / "report.json", tmp_path / "summary.txt",
-                                report, ps, ps)
+    report = compare_periods(ps, ps, match)
+    tio.write_comparison_report(tmp_path / "report.json", tmp_path / "summary.txt", report)
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["total_reduction_pct"] == 0.0
     assert doc["disappeared_count"] == 0
@@ -218,7 +219,7 @@ def test_writers_are_deterministic(tmp_path, matrix):
     x = minmax_normalize(matrix)
     cfg = NmfConfig(rank=3, seed=2)
     pair = factorize(x, cfg)
-    ps = extract_patterns(pair, matrix, normalization_column_scales(x))
+    ps = extract_patterns(pair, x)
     for _ in range(2):
         tio.write_count_matrix(tmp_path / f"m{_}.csv", matrix)
         tio.write_temporal_patterns(tmp_path / f"t{_}.csv", ps)
@@ -259,3 +260,124 @@ def test_count_tables_and_synth_files_keep_their_own_number_formats(tmp_path):
     )
     assert (tmp_path / "w.csv").read_bytes() == b"p1,p2\n106.0,7.0\n6.0,140.0\n"
     assert (tmp_path / "h.csv").read_bytes() == b"hour,p1,p2\n7,100.0,12.0\n8,12.0,100.0\n"
+
+
+def _hand_made_comparison():
+    """2019 has three patterns and 2020 two: 2019's p1 returns as 2020's p2
+    an hour later, p2 returns as p1 at the same hour, p3 disappears."""
+    hours = [7, 8, 9]
+    raw_a = CountMatrix(values=np.array([[100.0, 50, 10], [40, 120, 90], [60, 80, 100],
+                                         [150, 110, 90]]),
+                        locations=[(f"S{i}", 51.0 + i / 4, -0.5) for i in range(4)],
+                        hours=hours, period_label="2019")
+    raw_b = CountMatrix(values=np.array([[80.0, 100, 20], [30, 60, 150], [70, 60, 70]]),
+                        locations=[(f"S{i}", 51.0 + i / 4, -0.5) for i in range(3)],
+                        hours=hours, period_label="2020")
+    set_a = PatternSet(temporal=np.array([[1.0, 0.0, 0.0], [0.5, 0.2, 1.0], [0.0, 1.0, 0.0]]),
+                       spatial=np.array([[5.0, 1, 0.5], [0.2, 3, 1], [0.1, 0.4, 2], [1, 0.5, 4]]),
+                       matrix=raw_a, column_norms=np.array([120.5, 80.0, 33.25]))
+    set_b = PatternSet(temporal=np.array([[0.0, 0.8], [0.3, 1.0], [1.0, 0.0]]),
+                       spatial=np.array([[0.5, 2.0], [3, 1], [1, 1.5]]),
+                       matrix=raw_b, column_norms=np.array([64.0, 97.5]))
+    return compare_periods(set_a, set_b, match_patterns(set_a, set_b, threshold=0.8))
+
+
+def test_comparison_report_files_keep_their_exact_text(tmp_path):
+    report = _hand_made_comparison()
+    tio.write_comparison_report(tmp_path / "report.json", tmp_path / "summary.txt", report)
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == """\
+{
+  "disappeared_count": 1,
+  "matched": [
+    {
+      "pattern_a": "p1",
+      "pattern_b": "p2",
+      "peak_hour_a": 7,
+      "peak_hour_b": 8,
+      "peak_shift": 1,
+      "similarity": 0.9079593845004515
+    },
+    {
+      "pattern_a": "p2",
+      "pattern_b": "p1",
+      "peak_hour_a": 9,
+      "peak_hour_b": 9,
+      "peak_shift": 0,
+      "similarity": 0.9955795027140815
+    }
+  ],
+  "period_a": {
+    "dominant_location_counts": {
+      "p1": 1,
+      "p2": 1,
+      "p3": 2
+    },
+    "label": "2019",
+    "rank": 3,
+    "temporal_peak_intensity": [
+      120.5,
+      80.0,
+      33.25
+    ],
+    "total_count": 1000.0
+  },
+  "period_b": {
+    "dominant_location_counts": {
+      "p1": 1,
+      "p2": 2
+    },
+    "label": "2020",
+    "rank": 2,
+    "temporal_peak_intensity": [
+      64.0,
+      97.5
+    ],
+    "total_count": 640.0
+  },
+  "threshold": 0.8,
+  "total_reduction_pct": 36.0,
+  "unmatched_a": [
+    "p3"
+  ],
+  "unmatched_b": []
+}
+"""
+    assert (tmp_path / "summary.txt").read_text(encoding="utf-8") == """\
+Period comparison: 2019 vs 2020
+Total vehicle count: 1000 -> 640 (36.0% reduction)
+Patterns: 3 in 2019, 2 in 2020 (match threshold 0.8)
+Matched patterns:
+  2019 p1 ~ 2020 p2 (similarity 0.908), peak 07:00 -> 08:00 (shifted +1h)
+  2019 p2 ~ 2020 p1 (similarity 0.996), peak 09:00 -> 09:00 (unchanged)
+Disappeared from 2019: p3
+New in 2020: none
+Dominant-pattern location counts:
+  2019: p1=1, p2=1, p3=2
+  2020: p1=1, p2=2
+"""
+
+
+# One bad cell rejects a whole table, so the tables are short.
+@settings(max_examples=150, deadline=None)
+@given(rows=reader_rows(READER_IDS, READER_LATS, READER_LONS, READER_COUNTS, READER_COUNTS,
+                        max_rows=3))
+def test_every_count_table_read_count_matrix_accepts_is_valid(rows):
+    """Every table read_count_matrix accepts has unique non-empty ids,
+    coordinates in range and no negative finite count; any other input
+    raises DataError."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["location_id", "latitude", "longitude", "h07", "h08"])
+    writer.writerows(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.csv"
+        path.write_text(out.getvalue(), encoding="utf-8", newline="")
+        try:
+            m = tio.read_count_matrix(path)
+        except DataError:  # any other exception fails the test
+            return
+    ids = [loc for loc, _, _ in m.locations]
+    assert len(set(ids)) == len(ids) and all(loc.strip() for loc in ids)
+    assert all(-90 <= lat <= 90 and -180 <= lon <= 180 for _, lat, lon in m.locations)
+    # NaN and infinite counts are left to the solver, which rejects them.
+    assert not np.any(np.isfinite(m.values) & (m.values < 0))

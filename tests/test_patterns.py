@@ -25,15 +25,14 @@ def make_matrix(values, period="A"):
                        hours=HOURS[: values.shape[1]], period_label=period)
 
 
-def make_set(temporal, period="A"):
+def make_set(temporal, period="A", counts=None):
     temporal = np.asarray(temporal, dtype=float)
     m, r = temporal.shape
+    matrix = make_matrix(np.ones((3, m)) if counts is None else counts, period)
     return PatternSet(
         temporal=temporal,
-        spatial=np.ones((3, r)),
-        hours=HOURS[:m],
-        locations=[(f"L{i}", 50.0, -1.0) for i in range(3)],
-        period_label=period,
+        spatial=np.ones((matrix.shape[0], r)),
+        matrix=matrix,
         column_norms=np.ones(r),
     )
 
@@ -42,7 +41,7 @@ def test_extract_unit_max_rescale():
     w = np.ones((2, 1))
     h = np.array([[2.0], [4.0], [8.0]])
     pair = FactorPair(w=w, h=h)
-    ps = extract_patterns(pair, make_matrix(np.ones((2, 3))))
+    ps = extract_patterns(pair, minmax_normalize(make_matrix(np.ones((2, 3)))))
     assert np.allclose(ps.temporal[:, 0], [0.25, 0.5, 1.0])
     assert ps.column_norms[0] == 8.0
 
@@ -51,14 +50,14 @@ def test_extract_preserves_product():
     rng = np.random.default_rng(4)
     w, h = rng.random((10, 4)), rng.random((6, 4))
     pair = FactorPair(w=w, h=h)
-    ps = extract_patterns(pair, make_matrix(np.ones((10, 6))))
+    ps = extract_patterns(pair, minmax_normalize(make_matrix(np.ones((10, 6)))))
     assert np.abs(ps.reconstruct() - w @ h.T).max() <= 1e-12
 
 
 def test_extract_zero_column_kept():
     h = np.array([[1.0, 0.0], [0.5, 0.0]])
     pair = FactorPair(w=np.ones((3, 2)), h=h)
-    ps = extract_patterns(pair, make_matrix(np.ones((3, 2))))
+    ps = extract_patterns(pair, minmax_normalize(make_matrix(np.ones((3, 2)))))
     assert np.array_equal(ps.temporal[:, 1], np.zeros(2))
     assert ps.column_norms[1] == 1.0
 
@@ -68,7 +67,11 @@ def test_extract_with_column_scale_changes_units():
     w, h = rng.random((8, 2)), rng.random((5, 2))
     pair = FactorPair(w=w, h=h)
     scale = np.array([10.0, 20.0, 5.0, 1.0, 2.0])
-    ps = extract_patterns(pair, make_matrix(np.ones((8, 5))), column_scale=scale)
+    counts = np.zeros((8, 5))
+    counts[0] = scale  # each hour column's max - min is its scale
+    x = minmax_normalize(make_matrix(counts))
+    assert np.array_equal(x.scale, scale)
+    ps = extract_patterns(pair, x)
     scaled_h = h * scale[:, None]
     assert np.abs(ps.reconstruct() - w @ scaled_h.T).max() <= 1e-12
     assert np.allclose(ps.temporal * ps.column_norms, scaled_h)
@@ -163,12 +166,10 @@ def test_peak_hour_rescale_invariant():
 
 
 def test_compare_headline_arithmetic():
-    raw_a = make_matrix(np.full((2, 2), 25.0))          # total 100
-    raw_b = make_matrix(np.full((2, 2), 12.0), "B")     # total 48
-    a = make_set(np.ones((2, 1)))
-    b = make_set(np.ones((2, 1)), period="B")
+    a = make_set(np.ones((2, 1)), counts=np.full((2, 2), 25.0))               # total 100
+    b = make_set(np.ones((2, 1)), period="B", counts=np.full((2, 2), 12.0))   # total 48
     match = match_patterns(a, b)
-    report = compare_periods(raw_a, raw_b, match, a, b)
+    report = compare_periods(a, b, match)
     assert report.total_reduction_pct == 52.0
 
 
@@ -177,28 +178,23 @@ def test_compare_identical_periods():
     raw = make_matrix(values)
     x = minmax_normalize(raw)
     pair = factorize(x, NmfConfig(rank=3, seed=8))
-    ps = extract_patterns(pair, raw, normalization_column_scales(x))
+    ps = extract_patterns(pair, x)
     match = match_patterns(ps, ps)
-    report = compare_periods(raw, raw, match, ps, ps)
+    report = compare_periods(ps, ps, match)
     assert report.total_reduction_pct == 0.0
     assert all(sim == pytest.approx(1.0, abs=1e-12) for _, _, sim in match.pairs)
     assert [n.peak_shift for n in report.per_pattern_notes] == [0, 0, 0]
 
 
 def test_compare_zero_total():
-    raw_a = make_matrix(np.zeros((2, 2)))
-    raw_b = make_matrix(np.ones((2, 2)), "B")
-    a = make_set(np.ones((2, 1)))
-    b = make_set(np.ones((2, 1)), period="B")
+    a = make_set(np.ones((2, 1)), counts=np.zeros((2, 2)))
+    b = make_set(np.ones((2, 1)), period="B", counts=np.ones((2, 2)))
     with pytest.raises(ZeroTotalError):
-        compare_periods(raw_a, raw_b, match_patterns(a, b), a, b)
+        compare_periods(a, b, match_patterns(a, b))
 
 
 def test_dominant_location_counts():
     spatial = np.array([[3.0, 1.0], [0.5, 2.0], [4.0, 0.1], [1.0, 1.5]])
-    ps = PatternSet(
-        temporal=np.ones((2, 2)), spatial=spatial, hours=HOURS[:2],
-        locations=[(f"L{i}", 50.0, -1.0) for i in range(4)],
-        period_label="A", column_norms=np.ones(2),
-    )
+    ps = PatternSet(temporal=np.ones((2, 2)), spatial=spatial,
+                    matrix=make_matrix(np.ones((4, 2))), column_norms=np.ones(2))
     assert ps.dominant_location_counts() == [2, 2]
