@@ -28,7 +28,6 @@ _HOME = {
     "InvalidRankError": "errors",
     "MissingColumnError": "errors",
     "MissingInputError": "errors",
-    "MixedPeriodsError": "errors",
     "NmfConfig": "nmf",
     "NonFiniteError": "errors",
     "NonNegativityError": "errors",

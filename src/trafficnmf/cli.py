@@ -2,9 +2,10 @@
 
 Settings come from flags, an optional JSON config file, or built-in
 defaults, in that order of precedence. All outputs are deterministic for
-a fixed config: every random choice derives from the single seed, fanned
-out per stage (each factorization at rank r is seeded by
-NmfConfig.at_rank, synthetic period B uses seed + 1).
+a fixed config and BLAS thread count (one unless OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS sets another): every random choice
+derives from the single seed, fanned out per stage (each factorization at
+rank r is seeded by NmfConfig.at_rank, synthetic period B uses seed + 1).
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+# One BLAS thread unless the user set a count, read as the next import loads
+# numpy: more would make `run` spawn its worker and its periods contend.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from . import io as tio
 from .errors import ConfigError, DataError, MissingInputError, NumericalError, TrafficNmfError

@@ -33,10 +33,6 @@ class EmptyInputError(DataError):
     """No usable data rows."""
 
 
-class MixedPeriodsError(DataError):
-    """Records from more than one period were passed to a single-period operation."""
-
-
 class HourBinMismatchError(DataError):
     """Two pattern sets do not share the same hour bins."""
 

@@ -13,17 +13,11 @@ import io
 import itertools
 import math
 import operator
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    EmptyInputError,
-    MissingColumnError,
-    MixedPeriodsError,
-)
+from .errors import DataError, EmptyInputError, MissingColumnError
 
 
 @dataclass(frozen=True)
@@ -91,22 +85,6 @@ class RecordTable:
 
     def __len__(self) -> int:
         return len(self.location_ids)
-
-    @classmethod
-    def from_records(cls, records: Iterable[TrafficRecord]) -> RecordTable:
-        """Collect record objects into columns; they must share one period label."""
-        records = list(records)
-        periods = {r.period_label for r in records}
-        if len(periods) > 1:
-            raise MixedPeriodsError(f"records span multiple periods: {sorted(periods)}")
-        return cls(
-            location_ids=np.array([r.location_id for r in records], dtype=object),
-            latitude=np.array([r.latitude for r in records], dtype=float),
-            longitude=np.array([r.longitude for r in records], dtype=float),
-            hour=np.array([r.hour for r in records], dtype=np.int64),
-            count=np.array([r.count for r in records], dtype=float),
-            period_label=periods.pop() if periods else "",
-        )
 
 
 @dataclass
@@ -185,7 +163,9 @@ class NormalizedMatrix:
         return self.values * self.scale + self.lo
 
 
-def _column_indices(header: list[str], schema: ColumnMapping) -> list[int]:
+def _column_indices(header: list[str] | None, schema: ColumnMapping) -> list[int]:
+    if header is None:
+        raise EmptyInputError("input has no header row")
     indices = []
     for name in schema.required():
         found = [i for i, h in enumerate(header) if h == name]
@@ -198,8 +178,8 @@ def _column_indices(header: list[str], schema: ColumnMapping) -> list[int]:
 
 
 # The input is read in blocks of whole lines of about this many characters.
-# Blocks stay small because the five string columns of one block are alive
-# at once.
+# Blocks stay small because the string columns of one block are alive at
+# once.
 _BLOCK_CHARS = 1 << 16
 
 _REASONS = ("malformed", "negative count", "unmappable hour", "coordinates out of range")
@@ -217,10 +197,6 @@ def parse_records(
     the returned rejection summary; they never abort the parse. A field
     missing from a short row counts as empty. Blank lines are not rows.
 
-    Blocks of ASCII lines without quotes or bare "\\r" are split at their
-    delimiter offsets; from the first block that is not, the rest of the
-    input goes through csv, with the same results.
-
     Raises MissingColumnError if the header lacks a mapped column,
     DataError if it names a mapped column twice or if csv cannot split a
     line (naming the line), and EmptyInputError if no data rows are
@@ -230,9 +206,9 @@ def parse_records(
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     rejections = RejectionSummary()
-    blocks = []
-    n_rows = 0
-    for fields, lines in _split_rows(stream, schema):
+    blocks, n_rows = [], 0
+    for fields, lines, _ in _split_rows(stream, schema.delimiter,
+                                        lambda header: _column_indices(header, schema)):
         n_rows += len(lines)
         blocks.append(_validate(fields, lines, rejections))
     if n_rows == 0:
@@ -243,10 +219,18 @@ def parse_records(
     return ParseResult(table, rejections)
 
 
-def _split_rows(stream, schema: ColumnMapping):
-    """Yield the mapped fields of the data rows, as five string columns, and
-    the physical line on which each row ends, one block at a time."""
-    delimiter = ord(schema.delimiter)
+def _split_rows(stream, delimiter: str, columns, where: str = ""):
+    """Yield, one block at a time, the picked fields of the data rows as
+    string columns ("" where a row is short), the physical line on which
+    each row ends and each row's number of fields. `columns(header)` gets
+    the header's fields (None for an empty input, where it must raise) and
+    returns the indices to pick.
+
+    Blocks of ASCII lines without quotes or bare "\\r" are split at their
+    delimiter offsets; from the first block that is not, the rest goes
+    through csv. A line csv cannot split is a DataError, `where` and the
+    line, raised once the rows before it are yielded.
+    """
     limit = csv.field_size_limit()
     indices = None
     line_no = 0  # physical lines read so far
@@ -258,23 +242,23 @@ def _split_rows(stream, schema: ColumnMapping):
         line_no += len(block)
         if indices is None:
             header = block[0].rstrip("\r\n")
-            indices = _column_indices(header.split(schema.delimiter) if header else [], schema)
+            indices = columns(header.split(delimiter) if header else [])
             text = text[len(block[0]):]
             first += 1
-        yield _split_plain(text, indices, delimiter, first)
+        yield _split_plain(text, indices, ord(delimiter), first)
     if not block:  # every block was plain
         if indices is None:
-            raise EmptyInputError("input has no header row")
+            columns(None)
         return
 
-    reader = csv.reader(itertools.chain(block, stream), delimiter=schema.delimiter)
+    reader = csv.reader(itertools.chain(block, stream), delimiter=delimiter)
     try:
         if indices is None:
-            indices = _column_indices(next(reader), schema)
+            indices = columns(next(reader))
         yield from _split_csv(reader, indices, line_no)
     except csv.Error as e:  # e.g. a bare "\r" in an unquoted field of a str, or a
         # field longer than csv.field_size_limit()
-        raise DataError(f"line {line_no + reader.line_num}: {e}") from None
+        raise DataError(f"{where}line {line_no + reader.line_num}: {e}") from None
 
 
 def _is_plain(text: str, longest: int, limit: int) -> bool:
@@ -286,8 +270,9 @@ def _is_plain(text: str, longest: int, limit: int) -> bool:
 
 def _split_plain(text: str, indices: list[int], delimiter: int, first_line: int):
     """Split a plain block (`_is_plain`) at its newline and delimiter offsets:
-    the mapped fields of each non-blank line, "" where a line is short, and
-    the line numbers of those lines, the first line being `first_line`."""
+    the picked fields of each non-blank line, "" where a line is short, the
+    line numbers of those lines, the first line being `first_line`, and
+    their numbers of fields."""
     if "\r" in text:
         text = text.replace("\r\n", "\n")  # a plain block has no other "\r"
     if not text.endswith("\n"):
@@ -299,44 +284,56 @@ def _split_plain(text: str, indices: list[int], delimiter: int, first_line: int)
     line_ends = np.flatnonzero(chars[bounds[1:]] == ord("\n")) + 1
     before = np.concatenate(([0], line_ends[:-1]))
     rows = np.flatnonzero(bounds[line_ends] > bounds[before] + 1)
-    # One row per non-blank line, one column per mapped field.
+    widths = line_ends[rows] - before[rows]
+    # One row per non-blank line, one column per picked field.
     k = np.array(indices)
     before = before[rows, None]
-    present = k < line_ends[rows, None] - before
+    present = k < widths[:, None]
     at = np.minimum(before + k, len(bounds) - 2)
     begin = np.where(present, bounds[at] + 1, 0).ravel()
     end = np.where(present, bounds[at + 1], 0).ravel()
     # Gather the fields, row by row, into one string in which "\n", which no
-    # field holds, ends each field, and split that string once.
+    # field holds, ends each field, and split that string once. The offsets
+    # fit int32, which halves the largest arrays of a count table's block.
     size = end - begin + 1
     out = np.cumsum(size) - size
-    source = np.arange(size.sum()) + np.repeat(begin - out, size)
+    source = np.repeat((begin - out).astype(np.int32), size)
+    source += np.arange(len(source), dtype=np.int32)
     source[out + size - 1] = len(text) - 1
     picked = chars[source].tobytes().decode("ascii").split("\n")
-    return [picked[j:-1:len(k)] for j in range(len(k))], rows + first_line
+    return [picked[j:-1:len(k)] for j in range(len(k))], rows + first_line, widths
 
 
 def _split_csv(reader, indices: list[int], line_no: int):
-    """Pick the mapped fields of each row csv splits, "" where a row is short,
-    and the physical line on which it ends, `line_no` lines having been read
-    before the reader's first."""
+    """Pick the fields of each row csv splits, "" where a row is short, with
+    the physical line on which it ends, `line_no` lines having been read
+    before the reader's first, and its number of fields. A csv.Error is
+    raised again once the rows before it are yielded."""
     pick = operator.itemgetter(*indices)
     width = max(indices) + 1
     batch = max(1, _BLOCK_CHARS // 64)  # about the rows of one block
-    picked: list[tuple[str, ...]] = []
-    lines: list[int] = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) < width:
+    picked, lines, widths = [], [], []
+
+    def rows():
+        return list(zip(*picked)), np.array(lines) + line_no, np.array(widths)
+
+    try:
+        for row in reader:
+            if not row:
+                continue
+            widths.append(len(row))
             row += [""] * (width - len(row))
-        picked.append(pick(row))
-        lines.append(reader.line_num)
-        if len(picked) == batch:
-            yield list(zip(*picked)), np.array(lines) + line_no
-            picked, lines = [], []
+            picked.append(pick(row))
+            lines.append(reader.line_num)
+            if len(picked) == batch:
+                yield rows()
+                picked, lines, widths = [], [], []
+    except csv.Error:
+        if picked:
+            yield rows()
+        raise
     if picked:
-        yield list(zip(*picked)), np.array(lines) + line_no
+        yield rows()
 
 
 def _floats(column) -> tuple[np.ndarray, np.ndarray]:
@@ -348,15 +345,18 @@ def _floats(column) -> tuple[np.ndarray, np.ndarray]:
         return np.fromiter(map(float, column), float, n), np.zeros(n, bool)
     except ValueError:
         pass
-    values = []
-    failed = np.zeros(n, bool)
+    values, failed = np.empty(n), np.zeros(n, bool)
     for i, text in enumerate(column):
         try:
-            values.append(float(text))
+            values[i] = float(text)
         except ValueError:
-            values.append(math.nan)
-            failed[i] = True
-    return np.array(values, dtype=float), failed
+            values[i], failed[i] = math.nan, True
+    return values, failed
+
+
+def _in_range(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """Where coordinates lie in -90..90 and -180..180; NaN lies outside."""
+    return (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
 
 
 def _integral(values: np.ndarray) -> np.ndarray:
@@ -380,7 +380,7 @@ def _validate(fields, lines: np.ndarray, rejections: RejectionSummary):
 
     reason = np.full(len(loc_ids), -1)
     # Later assignments take precedence, so the checks run here in reverse.
-    reason[~((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0))] = 3
+    reason[~_in_range(lat, lon)] = 3
     reason[bad_hour | ~(_integral(hour) & (0 <= hour) & (hour <= 23))] = 2
     reason[count < 0] = 1
     reason[bad_lat | bad_lon | bad_count | ~has_id | ~_integral(count)] = 0
@@ -392,33 +392,29 @@ def _validate(fields, lines: np.ndarray, rejections: RejectionSummary):
     return np.array(loc_ids, dtype=object)[keep], lat[keep], lon[keep], hour[keep], count[keep]
 
 
-def build_matrix(
-    records: RecordTable | Iterable[TrafficRecord], window: HourWindow | None = None
-) -> CountMatrix:
-    """Sum records into a location-by-hour count matrix over the given window.
+def build_matrix(records: RecordTable, window: HourWindow | None = None) -> CountMatrix:
+    """Sum parsed records into a location-by-hour count matrix over the given window.
 
     Entry (i, j) is the cumulative count for location i at hour bin j;
     (location, hour) cells with no record are 0. The result is independent
-    of the input record order. A sequence of TrafficRecord objects is
-    first collected into a RecordTable.
+    of the input record order.
     """
     window = window or HourWindow()
-    table = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
-    keep = (table.hour >= window.start) & (table.hour <= window.end)
+    keep = (records.hour >= window.start) & (records.hour <= window.end)
     if not keep.any():
         raise EmptyInputError("no records inside the hour window")
 
     # Sorting the distinct ids in Python keeps str ordering exact; numpy's
     # fixed-width strings would drop trailing NULs.
-    loc_ids = table.location_ids[keep].tolist()
+    loc_ids = records.location_ids[keep].tolist()
     ids = sorted(set(loc_ids))
     row_of = {loc_id: i for i, loc_id in enumerate(ids)}
     n_hours = window.end - window.start + 1
     loc = np.array([row_of[loc_id] for loc_id in loc_ids], dtype=np.int64)
-    cell = loc * n_hours + (table.hour[keep] - window.start)
-    count = table.count[keep]
-    lat = table.latitude[keep]
-    lon = table.longitude[keep]
+    cell = loc * n_hours + (records.hour[keep] - window.start)
+    count = records.count[keep]
+    lat = records.latitude[keep]
+    lon = records.longitude[keep]
     # One order fixes both each location's coordinates (its first record)
     # and the order in which each cell's counts are summed, so neither
     # depends on the input order.
@@ -429,7 +425,7 @@ def build_matrix(
     values = np.bincount(cell, weights=count[order], minlength=len(ids) * n_hours)
     locations = list(zip(ids, lat[first].tolist(), lon[first].tolist()))
     return CountMatrix(values.reshape(len(ids), n_hours), locations, window.hours(),
-                       period_label=table.period_label)
+                       period_label=records.period_label)
 
 
 def minmax_normalize(m: CountMatrix) -> NormalizedMatrix:

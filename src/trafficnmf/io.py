@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, TextIO
 import numpy as np
 
 from .errors import DataError, MissingInputError
-from .ingest import ColumnMapping, CountMatrix
+from .ingest import ColumnMapping, CountMatrix, _floats, _in_range, _split_rows
 
 if TYPE_CHECKING:  # annotations only, so that every command need not load rank and patterns
     from .nmf import FactorPair, NmfConfig
@@ -108,76 +108,78 @@ def read_count_matrix(path: Path | str, period_label: str | None = None) -> Coun
     """Read a matrix table written by write_count_matrix.
 
     The period label defaults to the file stem since the table itself does
-    not carry one. Raises DataError, naming the file and line, on a byte
-    that is not UTF-8, a line csv cannot split, an hour column other than
-    h followed by an hour 0..23, a repeated hour column, a row with the
-    wrong number of cells, an empty location id, a non-numeric
-    cell, a repeated location id, a negative count or coordinates out of
-    range. NaN and infinite counts are left for the solver to reject.
+    not carry one. Location ids are stripped, as raw records' are. Raises
+    DataError, naming the file and line, on a byte that is not UTF-8, a
+    line csv cannot split, an hour column other than h followed by an hour
+    0..23 or a repeated one, and at the first row with the wrong number of
+    cells, an empty location id or a non-numeric cell; then on a repeated
+    location id, coordinates out of range or a negative count. NaN and
+    infinite counts are left for the solver to reject.
     """
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"no such file: {path}")
+    hours: list[int] = []
+
+    def columns(header: list[str] | None) -> list[int]:
+        if header is None:
+            raise DataError(f"{path} is empty")
+        if header[:3] != _LOCATION_HEADER:
+            raise DataError(f"{path} is not a count-matrix table (header {header[:3]})")
+        for name in header[3:]:
+            digits = name[1:]
+            # isdigit alone would pass "²", which int() rejects.
+            if not (name.startswith("h") and digits.isascii() and digits.isdigit()
+                    and int(digits) <= 23):
+                raise DataError(f"{path}, line 1: unexpected hour column {name!r}")
+            if int(digits) in hours:
+                raise DataError(f"{path}, line 1: hour column {name!r} appears more than once")
+            hours.append(int(digits))
+        return list(range(len(header)))
+
+    def fail(line: int, what: str) -> DataError:
+        return DataError(f"{path}, line {line}: {what}")
+
+    ids, blocks, lines = [], [], []
     with read_text(path) as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path} is empty")
-            if header[:3] != _LOCATION_HEADER:
-                raise DataError(f"{path} is not a count-matrix table (header {header[:3]})")
-            hours = []
-            for name in header[3:]:
-                digits = name[1:]
-                # isdigit alone would pass "²", which int() rejects.
-                if not (name.startswith("h") and digits.isascii() and digits.isdigit()
-                        and int(digits) <= 23):
-                    raise DataError(f"{path}, line 1: unexpected hour column {name!r}")
-                if int(digits) in hours:
-                    raise DataError(f"{path}, line 1: hour column {name!r} appears more than once")
-                hours.append(int(digits))
-            ids: list[str] = []
-            rows: list[list[float]] = []
-            lines: list[int] = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path}, line {reader.line_num}: "
-                                    f"{len(row)} cells, header has {len(header)}")
-                if not row[0].strip():
-                    raise DataError(f"{path}, line {reader.line_num}: empty location id")
-                try:
-                    rows.append([float(v) for v in row[1:]])
-                except ValueError as e:
-                    raise DataError(f"{path}, line {reader.line_num}: {e}") from None
-                ids.append(row[0])
-                lines.append(reader.line_num)
-        except csv.Error as e:  # e.g. a field longer than csv.field_size_limit()
-            raise DataError(f"{path}, line {reader.line_num}: {e}") from None
-    if not rows:
+        for cells, line_nos, widths in _split_rows(f, ",", columns, f"{path}, "):
+            block_ids = list(map(str.strip, cells[0]))
+            numbers, failed = zip(*map(_floats, cells[1:]))
+            empty = ~np.fromiter(map(bool, block_ids), bool, len(block_ids))
+            bad = np.flatnonzero((widths != len(cells)) | empty | np.any(failed, axis=0))
+            if len(bad):
+                i = bad[0]
+                if widths[i] != len(cells):
+                    raise fail(line_nos[i], f"{widths[i]} cells, header has {len(cells)}")
+                if empty[i]:
+                    raise fail(line_nos[i], "empty location id")
+                for column in cells[1:]:
+                    try:
+                        float(column[i])
+                    except ValueError as e:
+                        raise fail(line_nos[i], str(e)) from None
+            ids += block_ids
+            blocks.append(np.column_stack(numbers))
+            lines.append(line_nos)
+            del cells  # not alive while the next block is split
+    if not ids:
         raise DataError(f"{path} has no data rows")
-    table = np.array(rows)
+    table, line_of = np.concatenate(blocks), np.concatenate(lines)
     lat, lon, values = table[:, 0], table[:, 1], table[:, 2:]
 
-    def fail(row: int, what: str) -> DataError:
-        return DataError(f"{path}, line {lines[row]}: {what}")
-
-    if len(set(ids)) < len(ids):
-        seen: set[str] = set()
-        for i, loc_id in enumerate(ids):
-            if loc_id in seen:
-                raise fail(i, f"location id {loc_id!r} appears more than once")
-            seen.add(loc_id)
-    # Negated so that NaN coordinates count as out of range.
-    bad = np.flatnonzero(~((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)))
+    seen: set[str] = set()
+    for i, loc_id in enumerate(ids):
+        if loc_id in seen:
+            raise fail(line_of[i], f"location id {loc_id!r} appears more than once")
+        seen.add(loc_id)
+    bad = np.flatnonzero(~_in_range(lat, lon))
     if len(bad):
         i = bad[0]
-        raise fail(i, f"coordinates ({float(lat[i])!r}, {float(lon[i])!r}) out of range")
+        raise fail(line_of[i], f"coordinates ({float(lat[i])!r}, {float(lon[i])!r}) out of range")
     negative = np.argwhere((values < 0) & np.isfinite(values))
     if len(negative):
         i, j = negative[0]
-        raise fail(i, f"negative count {float(values[i, j])!r}")
+        raise fail(line_of[i], f"negative count {float(values[i, j])!r}")
     return CountMatrix(
         values=values.copy(),
         locations=list(zip(ids, lat.tolist(), lon.tolist())),

@@ -25,6 +25,7 @@ from trafficnmf.patterns import (
 from trafficnmf.rank import ClusterAssignment, between_dispersion, calinski_harabasz, rank_scan, within_dispersion
 from trafficnmf.synth import SyntheticSpec, generate_period
 
+from test_ingest import records_matrix
 from test_nmf import best_column_match
 from test_rank import FOUR_LABELS, FOUR_POINTS, ch_bruteforce, total_scatter
 
@@ -87,7 +88,7 @@ def test_criterion_3_rank_recovery():
             spec = SyntheticSpec(n_locations=60, n_hours=12, planted_rank=planted,
                                  noise_level=0.05, seed=seed)
             period = generate_period(spec)
-            x = minmax_normalize(build_matrix(period.records))
+            x = minmax_normalize(records_matrix(period.records))
             result = rank_scan(x, range(2, 9), NmfConfig(rank=2, seed=100 + seed))
             hits += result.recommended_rank == planted
         assert hits >= 18, f"recovered planted rank in only {hits}/20 seeds"

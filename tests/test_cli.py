@@ -653,13 +653,14 @@ def program(argv, env, *flags):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("blas_threads, method", [("1", "fork"), (None, "spawn")],
-                         ids=["pinned-blas-forks", "unpinned-blas-spawns"])
+@pytest.mark.parametrize("blas_threads, method", [("1", "fork"), (None, "fork"), ("2", "spawn")],
+                         ids=["pinned-blas-forks", "unset-blas-forks", "unpinned-blas-spawns"])
 def test_run_in_a_real_process_warns_nothing(tmp_path, synth_pair, capsys, monkeypatch,
                                              blas_threads, method):
-    # A bare `run` process with every warning an error: pinned to one BLAS
-    # thread it is single-threaded and forks; unpinned, OpenBLAS's own thread
-    # makes it spawn. Either way --out equals the in-process path's.
+    # A bare `run` process with every warning an error: with one BLAS thread,
+    # set by the user or, when unset, by the program, it is single-threaded
+    # and forks; with two that the user set, OpenBLAS's own thread makes it
+    # spawn. Either way --out equals the in-process path's.
     raw_a, raw_b = synth_pair
     env = program_env()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -670,8 +671,11 @@ def test_run_in_a_real_process_warns_nothing(tmp_path, synth_pair, capsys, monke
         [sys.executable, "-c", "import trafficnmf.cli as c; "
                                "print(c._start_method() if c._cpu_count() > 1 else 'one CPU')"],
         env=env, capture_output=True, text=True, timeout=60)
-    if probe.stdout.strip() != method:
-        pytest.skip(f"a run here takes the {probe.stdout.strip() or probe.stderr} path")
+    taken = probe.stdout.strip()
+    # One CPU takes neither path; a BLAS that starts no thread of its own forks.
+    if taken == "one CPU" or (method, taken) == ("spawn", "fork"):
+        pytest.skip(f"a run here takes the {taken} path")
+    assert taken == method, probe.stderr
 
     argv = ["run", "--input-a", str(raw_a), "--input-b", str(raw_b), "--seed", "0"]
     out = tmp_path / method

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trafficnmf import ingest
-from trafficnmf.errors import DataError, EmptyInputError, MissingColumnError, MixedPeriodsError
+from trafficnmf.errors import DataError, EmptyInputError, MissingColumnError
 from trafficnmf.ingest import (
     ColumnMapping,
     HourWindow,
@@ -26,6 +26,16 @@ HEADER = "count_point_id,latitude,longitude,hour,all_motor_vehicles"
 
 def rec(loc, hour, count, period="A", lat=51.0, lon=-0.1):
     return TrafficRecord(loc, lat, lon, hour, count, period)
+
+
+def records_matrix(records, window=None):
+    """The count matrix of valid TrafficRecord objects, built from their raw
+    text through parse_records, as the program builds one from a raw file."""
+    text = "".join(f"\n{r.location_id},{r.latitude!r},{r.longitude!r},{r.hour},{r.count}"
+                   for r in records)
+    result = parse_records(HEADER + text + "\n", period_label=records[0].period_label)
+    assert result.rejections.total == 0
+    return build_matrix(result.records, window)
 
 
 def test_parse_single_row():
@@ -103,7 +113,7 @@ def test_parse_tolerates_extra_columns():
 
 def test_build_matrix_hand_summed():
     records = [rec("L1", 7, 5), rec("L1", 7, 3), rec("L2", 9, 4)]
-    m = build_matrix(records)
+    m = records_matrix(records)
     assert m.shape == (2, 12)
     assert m.hours == list(range(7, 19))
     assert m.row_labels == ["L1", "L2"]
@@ -114,24 +124,19 @@ def test_build_matrix_hand_summed():
 
 
 def test_build_matrix_single_zero_record():
-    m = build_matrix([rec("L1", 7, 0)])
+    m = records_matrix([rec("L1", 7, 0)])
     assert m.shape == (1, 12)
     assert np.array_equal(m.values, np.zeros((1, 12)))
 
 
 def test_build_matrix_empty_window():
     with pytest.raises(EmptyInputError):
-        build_matrix([rec("L1", 3, 5)], HourWindow(7, 18))
-
-
-def test_build_matrix_mixed_periods():
-    with pytest.raises(MixedPeriodsError):
-        build_matrix([rec("L1", 7, 5, period="2019"), rec("L2", 8, 2, period="2020")])
+        records_matrix([rec("L1", 3, 5)], HourWindow(7, 18))
 
 
 def test_build_matrix_filters_to_window():
     records = [rec("L1", 7, 5), rec("L1", 3, 99), rec("L1", 20, 7)]
-    m = build_matrix(records, HourWindow(7, 18))
+    m = records_matrix(records, HourWindow(7, 18))
     assert m.total() == 5
 
 
@@ -143,33 +148,33 @@ def test_build_matrix_conservation_and_permutation_invariance():
             for _ in range(60)
         ]
         window = HourWindow(7, 18)
-        m = build_matrix(records, window)
+        m = records_matrix(records, window)
         in_window = sum(r.count for r in records if r.hour in window)
         assert m.total() == in_window
 
         shuffled = records[:]
         random.Random(trial).shuffle(shuffled)
-        m2 = build_matrix(shuffled, window)
+        m2 = records_matrix(shuffled, window)
         assert np.array_equal(m.values, m2.values)
         assert m.locations == m2.locations
         assert m.hours == m2.hours
 
 
 def test_minmax_column_formula():
-    m = build_matrix([rec("L1", 7, 2), rec("L2", 7, 4), rec("L3", 7, 6)], HourWindow(7, 7))
+    m = records_matrix([rec("L1", 7, 2), rec("L2", 7, 4), rec("L3", 7, 6)], HourWindow(7, 7))
     x = minmax_normalize(m)
     assert np.allclose(x.values[:, 0], [0.0, 0.5, 1.0])
     assert (x.lo[0], x.lo[0] + x.scale[0]) == (2.0, 6.0)
 
 
 def test_minmax_constant_column_maps_to_zero():
-    m = build_matrix([rec("L1", 7, 5), rec("L2", 7, 5), rec("L3", 7, 5)], HourWindow(7, 7))
+    m = records_matrix([rec("L1", 7, 5), rec("L2", 7, 5), rec("L3", 7, 5)], HourWindow(7, 7))
     x = minmax_normalize(m)
     assert np.array_equal(x.values[:, 0], np.zeros(3))
 
 
 def test_minmax_keeps_nan_count_nan():
-    m = build_matrix([rec("L1", 7, 2), rec("L2", 7, 4), rec("L1", 8, 1), rec("L2", 8, 3)])
+    m = records_matrix([rec("L1", 7, 2), rec("L2", 7, 4), rec("L1", 8, 1), rec("L2", 8, 3)])
     m.values[1, 0] = np.nan
     x = minmax_normalize(m)
     assert np.isnan(x.values[1, 0])
@@ -177,7 +182,7 @@ def test_minmax_keeps_nan_count_nan():
 
 
 def test_minmax_infinite_count_gives_nan_without_a_warning():
-    m = build_matrix([rec("L1", 7, 2), rec("L2", 7, 4), rec("L1", 8, 1), rec("L2", 8, 3)])
+    m = records_matrix([rec("L1", 7, 2), rec("L2", 7, 4), rec("L1", 8, 1), rec("L2", 8, 3)])
     m.values[1, 0] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -187,7 +192,7 @@ def test_minmax_infinite_count_gives_nan_without_a_warning():
 
 
 def test_minmax_identity_on_unit_range():
-    m = build_matrix([rec("L1", 7, 0), rec("L2", 7, 1)], HourWindow(7, 7))
+    m = records_matrix([rec("L1", 7, 0), rec("L2", 7, 1)], HourWindow(7, 7))
     x = minmax_normalize(m)
     assert np.array_equal(x.values[:, 0], np.array([0.0, 1.0]))
 
@@ -200,7 +205,7 @@ def test_minmax_bounds_and_roundtrip():
             for i in range(rng.integers(2, 12))
             for h in range(7, 19)
         ]
-        m = build_matrix(records)
+        m = records_matrix(records)
         x = minmax_normalize(m)
         assert x.values.min() >= 0.0 and x.values.max() <= 1.0
         for j in range(m.values.shape[1]):
@@ -440,12 +445,10 @@ def test_columnar_ingest_matches_record_reference(table, as_file):
         records, rejections, values, locations = want
         assert len(result.records) == len(records)
         assert result.rejections == rejections
-        # The same rows handed over as record objects take the same path.
-        for built in (m, build_matrix(records, window)):
-            assert np.array_equal(built.values, values)
-            assert repr(built.locations) == repr(locations)
-            assert built.hours == window.hours()
-            assert built.period_label == "P"
+        assert np.array_equal(m.values, values)
+        assert repr(m.locations) == repr(locations)
+        assert m.hours == window.hours()
+        assert m.period_label == "P"
 
 
 # Cell text a reader may meet: numbers out of range or not finite, signed

@@ -3,12 +3,14 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trafficnmf import ingest
 from trafficnmf import io as tio
 from trafficnmf.errors import DataError, EmptyInputError, MissingInputError
 from trafficnmf.ingest import CountMatrix, HourWindow, build_matrix, minmax_normalize, parse_records
@@ -22,14 +24,15 @@ from trafficnmf.patterns import (
 from trafficnmf.rank import rank_scan
 from trafficnmf.synth import SyntheticSpec, generate_period
 
-from test_ingest import READER_COUNTS, READER_IDS, READER_LATS, READER_LONS, reader_rows
+from test_ingest import (READER_COUNTS, READER_IDS, READER_LATS, READER_LONS, reader_rows,
+                         records_matrix)
 
 
 @pytest.fixture
 def matrix():
     period = generate_period(SyntheticSpec(n_locations=12, n_hours=12, planted_rank=3,
                                            noise_level=0.02, seed=4))
-    return build_matrix(period.records)
+    return records_matrix(period.records)
 
 
 def test_count_matrix_roundtrip(tmp_path, matrix):
@@ -69,15 +72,19 @@ def test_accepted_raw_records_round_trip_through_a_count_table(rows):
         matrix = build_matrix(parse_records(raw.getvalue()).records, HourWindow(0, 23))
     except EmptyInputError:  # every row rejected
         assume(False)
+    accepted = {loc.strip() for loc, *_ in rows if loc.strip()}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "counts.csv"
         tio.write_count_matrix(path, matrix)
-        back = tio.read_count_matrix(path)
-    assert back.locations == matrix.locations
-    assert back.hours == matrix.hours
-    assert np.array_equal(back.values, matrix.values)
-    accepted = {loc.strip() for loc, *_ in rows if loc.strip()}
-    assert [loc for loc, _, _ in back.locations] == sorted(accepted)
+        # At 50 characters a block, the table's quoted, "\r" and non-ASCII
+        # ids switch the reader from plain blocks to csv part way through.
+        for block_chars in (ingest._BLOCK_CHARS, 50):
+            with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+                back = tio.read_count_matrix(path)
+            assert back.locations == matrix.locations
+            assert back.hours == matrix.hours
+            assert np.array_equal(back.values, matrix.values)
+            assert [loc for loc, _, _ in back.locations] == sorted(accepted)
 
 
 def test_read_count_matrix_defaults_period_to_stem(tmp_path, matrix):
@@ -109,6 +116,7 @@ def test_read_count_matrix_rejects_foreign_table(tmp_path):
     (["L1,50,0,1,2", "  ,50,0,1,2"], "line 3: empty location id"),
     (["L1,50,0,1,2", "L2,50,0,1," + "9" * (csv.field_size_limit() + 1)],
      "line 3: field larger than field limit"),
+    (["L1,50,0,1,2", " L1 ,51,0,1,2"], "line 3: location id 'L1' appears more than once"),
 ])
 def test_read_count_matrix_rejects_bad_rows(tmp_path, rows, message):
     path = tmp_path / "bad.csv"
@@ -116,6 +124,20 @@ def test_read_count_matrix_rejects_bad_rows(tmp_path, rows, message):
     with pytest.raises(DataError) as excinfo:
         tio.read_count_matrix(path)
     assert str(excinfo.value).startswith(f"{path}, {message}")
+
+
+@pytest.mark.parametrize("later", [
+    [f"L{i},50,0,1,2" for i in range(4, 40)] + ["L99,50,0,1," + "9" * (csv.field_size_limit() + 1)],
+    ["L4,50,0,1"],
+], ids=["line-csv-cannot-split", "ragged-row"])
+def test_read_count_matrix_reports_the_first_of_two_bad_lines(tmp_path, later):
+    # Both bad lines lie in the first block of whole lines the reader takes.
+    rows = ["location_id,latitude,longitude,h07,h08", "L1,50,0,1,2", "L2,50,0,1,many", *later]
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(DataError) as excinfo:
+        tio.read_count_matrix(path)
+    assert str(excinfo.value) == f"{path}, line 3: could not convert string to float: 'many'"
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trafficnmf.errors import DegenerateClusteringError, InvalidRankError
-from trafficnmf.ingest import build_matrix, minmax_normalize
+from trafficnmf.ingest import minmax_normalize
 from trafficnmf.nmf import NmfConfig, factorize
 from trafficnmf.rank import (
     POINTS_MATRIX,
@@ -16,6 +16,8 @@ from trafficnmf.rank import (
     within_dispersion,
 )
 from trafficnmf.synth import SyntheticSpec, generate_period
+
+from test_ingest import records_matrix
 
 # Worked example: four points, two clusters split by the first coordinate.
 # Centroids (0,1) and (4,1), global centroid (2,1); each point sits 1 away
@@ -175,7 +177,7 @@ def planted_normalized(planted_rank, seed, noise=0.05):
     spec = SyntheticSpec(n_locations=60, n_hours=12, planted_rank=planted_rank,
                          noise_level=noise, seed=seed)
     period = generate_period(spec)
-    return minmax_normalize(build_matrix(period.records))
+    return minmax_normalize(records_matrix(period.records))
 
 
 def test_rank_scan_recovers_planted_rank3():

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from trafficnmf.ingest import HourWindow, build_matrix
+from trafficnmf.ingest import HourWindow
 from trafficnmf.synth import SyntheticSpec, generate_pair, generate_period
+
+from test_ingest import records_matrix
 
 
 def test_zero_noise_reconstructs_planted_product_exactly():
     spec = SyntheticSpec(n_locations=60, n_hours=12, planted_rank=3, noise_level=0.0, seed=0)
     period = generate_period(spec)
-    built = build_matrix(period.records)
+    built = records_matrix(period.records)
     assert np.array_equal(built.values, period.counts)
     assert np.array_equal(built.values, period.planted_product())
     assert period.realized_noise == 0.0
