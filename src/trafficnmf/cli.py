@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 # One BLAS thread unless the user set a count, read as the next import loads
-# numpy: more would make `run` spawn its worker and its periods contend.
+# numpy: more would start BLAS threads, and `run` would then not fork.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -40,8 +40,6 @@ from .ingest import (
 from .nmf import (
     DEFAULT_MATCH_THRESHOLD,
     INIT_RANDOM,
-    POINTS_FACTOR,
-    POINTS_MATRIX,
     FactorPair,
     NmfConfig,
     factorize,
@@ -86,8 +84,6 @@ _SETTINGS = {
     "ranks": (_parse_span, "2..8", "rank scan range"),
     "rank_a": (_integer, None, "fixed period A rank (run skips A's scan)"),
     "rank_b": (_integer, None, "fixed period B rank (skips B's scan)"),
-    "points": (str, POINTS_FACTOR, f"dispersion points: {POINTS_FACTOR} rows "
-                                   f"or {POINTS_MATRIX} rows"),
     "tol": (float, 1e-5, "relative loss-change stopping tolerance"),
     "max_iters": (_integer, 500, "iteration cap per factorization"),
     "init": (str, INIT_RANDOM, "factor initialization: random or nndsvd"),
@@ -118,7 +114,6 @@ class PipelineConfig:
     ranks: list[int]
     rank_a: int | None
     rank_b: int | None
-    points: str
     nmf: NmfConfig
     threshold: float
     locations: int
@@ -181,8 +176,6 @@ def _resolve(args: argparse.Namespace) -> PipelineConfig:
                         seed=values["seed"], init=values.pop("init"))
     except ValueError as e:
         raise ConfigError(f"bad solver setting: {e}") from None
-    if values["points"] not in (POINTS_FACTOR, POINTS_MATRIX):
-        raise ConfigError(f"--points must be {POINTS_FACTOR} or {POINTS_MATRIX}")
     if not (0.0 <= values["threshold"] <= 1.0):
         raise ConfigError(f"--threshold must be in [0, 1], got {values['threshold']}")
     return PipelineConfig(window=window, ranks=list(range(r_lo, r_hi + 1)), nmf=nmf, **values)
@@ -233,7 +226,7 @@ def _scan(cfg: PipelineConfig, x: NormalizedMatrix, label: str) -> tuple[RankSca
     write the scan table."""
     from .rank import rank_scan
 
-    result = rank_scan(x, cfg.ranks, cfg.nmf, points=cfg.points)
+    result = rank_scan(x, cfg.ranks, cfg.nmf)
     for rank, reason in result.skipped.items():
         print(f"{label}: rank {rank} skipped: {reason}", file=sys.stderr)
     scan_path = _out_file(cfg.out, "rank_scan_{}.csv", label)
@@ -374,29 +367,21 @@ def _receive(worker, conn, label: str):
     return value
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _start_method() -> str:
-    """How `run` starts its worker: "fork" when this process has one thread,
-    else "spawn".
+def _forks_worker() -> bool:
+    """Whether `run` forks a worker for period B: when this process has one
+    thread and may run on two or more CPUs.
 
     A forked worker starts at once with numpy and this package already
-    imported; a spawned one imports them again first. Forking a process
-    that has other threads can leave the child holding a lock no thread
-    will release, so where the thread count cannot be read (no
-    /proc/self/task: not Linux, or no /proc) the worker is spawned too.
+    imported. Forking a process that has other threads can leave the child
+    holding a lock no thread will release, so such a process runs B after A,
+    as does one whose threads cannot be counted (no /proc/self/task: not
+    Linux, or no /proc).
     """
     try:
         threads = len(os.listdir("/proc/self/task"))
     except OSError:
-        return "spawn"
-    return "fork" if threads == 1 else "spawn"
+        return False
+    return threads == 1 and len(os.sched_getaffinity(0)) > 1
 
 
 def _emit(output: tuple[str, str]) -> None:
@@ -407,10 +392,9 @@ def _emit(output: tuple[str, str]) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     """Both periods, then the comparison.
 
-    With two or more CPUs, period B runs in a worker process (started as
-    `_start_method` says) while period A runs here; with one, B runs here
-    after A. The outputs are the same either way. A failure in B is raised
-    once A is done.
+    When `_forks_worker` says so, period B runs in a forked worker process
+    while period A runs here; otherwise B runs here after A. The outputs are
+    the same either way. A failure in B is raised once A is done.
     """
     import multiprocessing  # only `run` starts a worker; other commands skip the import
 
@@ -424,8 +408,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         path_a = _require_input(cfg.input_a, "--input-a")
         period_b = (cfg, _require_input(cfg.input_b, "--input-b"), cfg.label_b, cfg.rank_b)
-        if _cpu_count() > 1:
-            ctx = multiprocessing.get_context(_start_method())
+        if _forks_worker():
+            ctx = multiprocessing.get_context("fork")
             conn, child_conn = ctx.Pipe(duplex=False)
             # With this process's copy of the write end closed, a worker that
             # dies without replying ends the read with EOFError, not a hang.
@@ -537,12 +521,12 @@ _COMMANDS = (
     ("ingest", cmd_ingest, "aggregate raw count records into matrix tables",
      ("input_a", "input_b", "label_a", "label_b")),
     ("rank-scan", cmd_rank_scan, "score candidate ranks on an ingested matrix",
-     ("input_a", "label_a", "ranks", "points", *_SOLVER)),
+     ("input_a", "label_a", "ranks", *_SOLVER)),
     ("factorize", cmd_factorize, "factorize an ingested matrix at a fixed rank",
      ("input_a", "label_a", "rank_a", *_SOLVER)),
     ("run", cmd_run, "full two-period pipeline with all exports",
-     ("input_a", "input_b", "label_a", "label_b", "ranks", "rank_a", "rank_b", "points",
-      *_SOLVER, "threshold")),
+     ("input_a", "input_b", "label_a", "label_b", "ranks", "rank_a", "rank_b", *_SOLVER,
+      "threshold")),
     ("synth", cmd_synth, "generate planted-factor record files",
      ("label_a", "label_b", "locations", "rank", "noise", "pair_drop", "pair_scale")),
 )

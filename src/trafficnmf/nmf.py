@@ -44,13 +44,10 @@ _IDENTITY_FLOOR = 1e-5
 INIT_RANDOM = "random"
 INIT_NNDSVD = "nndsvd"
 
-# Settings of the later stages. They live in this module, which every command
-# loads, so that the CLI's settings table need not load rank.py or patterns.py;
-# both import them from here.
-# The point sets a rank scan can compute its dispersions on (rank.rank_scan).
-POINTS_FACTOR = "factor"
-POINTS_MATRIX = "matrix"
-# The cosine similarity at which two periods' patterns match (patterns.match_patterns).
+# The cosine similarity at which two periods' patterns match
+# (patterns.match_patterns). It lives in this module, which every command
+# loads, so that the CLI's settings table need not load patterns.py, which
+# imports it from here.
 DEFAULT_MATCH_THRESHOLD = 0.80
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateClusteringError, InvalidRankError, NumericalError, TrafficNmfError
 from .ingest import NormalizedMatrix
-from .nmf import POINTS_FACTOR, POINTS_MATRIX, FactorPair, NmfConfig, factorize
+from .nmf import FactorPair, NmfConfig, factorize
 
 
 @dataclass(frozen=True)
@@ -133,18 +133,12 @@ def _ch_score(w: float, b: float, k_eff: int, n: int) -> float:
     return (b / (k_eff - 1)) / (w / (n - k_eff))
 
 
-def rank_scan(
-    x: NormalizedMatrix | np.ndarray,
-    ranks: Iterable[int],
-    cfg: NmfConfig,
-    points: str = POINTS_FACTOR,
-) -> RankScanResult:
+def rank_scan(x: NormalizedMatrix | np.ndarray, ranks: Iterable[int],
+              cfg: NmfConfig) -> RankScanResult:
     """Factorize at each candidate rank and score the induced clustering.
 
-    Locations are clustered by their dominant loading. `points` picks the
-    point set the dispersions are computed on: the location factor's own
-    rows, or the rows of the normalized input matrix for a
-    factor-independent comparison.
+    Locations are clustered by their dominant loading, and the dispersions
+    are computed on the location factor's own rows.
 
     Each rank factorizes with `cfg.at_rank(rank)`, so evaluating ranks in
     any order (or in parallel) gives identical results. A rank whose
@@ -156,9 +150,6 @@ def rank_scan(
     Raises InvalidRankError when no candidate rank is at most min(n, m);
     ranks above it are skipped when some candidate fits.
     """
-    if points not in (POINTS_FACTOR, POINTS_MATRIX):
-        raise ValueError(f"unknown points mode {points!r}")
-
     data = x.values if isinstance(x, NormalizedMatrix) else np.asarray(x, dtype=float)
     ranks = list(ranks)
     max_rank = min(data.shape)
@@ -174,8 +165,7 @@ def rank_scan(
         except TrafficNmfError as e:
             skipped[rank] = str(e)
             continue
-        w_d, b_d, k_eff = _dispersions(pair.w if points == POINTS_FACTOR else data,
-                                       assign_clusters(pair.w))
+        w_d, b_d, k_eff = _dispersions(pair.w, assign_clusters(pair.w))
         try:
             ch = _ch_score(w_d, b_d, k_eff, data.shape[0])
         except DegenerateClusteringError:

@@ -415,7 +415,7 @@ def test_run_reuses_scan_factorization(tmp_path, synth_pair, monkeypatch):
 
     monkeypatch.setattr(cli, "factorize", counting_factorize)
     # Only the in-process path calls the patched function for period B.
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(cli, "_forks_worker", lambda: False)
     common = ["--input-a", str(raw_a), "--input-b", str(raw_b), "--label-a", "2019",
               "--label-b", "2020", "--ranks", "2..8", "--seed", "0"]
     scanned = tmp_path / "scanned"
@@ -506,26 +506,23 @@ def run_cli_within(seconds, *argv):
 # test_run_in_a_real_process_*.
 forks_with_threads = pytest.mark.filterwarnings(
     "ignore:This process .* is multi-threaded:DeprecationWarning")
-PATHS = [pytest.param("fork", marks=forks_with_threads), "spawn", "in-process"]
+PATHS = [pytest.param("fork", marks=forks_with_threads), "in-process"]
 
 
 def take_path(monkeypatch, path):
-    """Make `run` handle period B in a forked or a spawned worker, or in this
-    process after period A."""
-    if path == "in-process":
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
-    else:
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "_start_method", lambda: path)
+    """Make `run` handle period B in a forked worker, or in this process
+    after period A."""
+    monkeypatch.setattr(cli, "_forks_worker", lambda: path == "fork")
 
 
-@pytest.mark.parametrize("tasks, method", [
-    (["4242"], "fork"),
-    (["4242", "4243"], "spawn"),
-    (FileNotFoundError, "spawn"),
-    (PermissionError, "spawn"),
-], ids=["one-thread", "two-threads", "no-proc", "unreadable"])
-def test_start_method_forks_only_a_single_threaded_process(monkeypatch, tasks, method):
+@pytest.mark.parametrize("tasks, cpus, forks", [
+    (["4242"], {0, 1}, True),
+    (["4242", "4243"], {0, 1}, False),
+    (FileNotFoundError, {0, 1}, False),
+    (PermissionError, {0, 1}, False),
+    (["4242"], {0}, False),
+], ids=["one-thread", "two-threads", "no-proc", "unreadable", "one-cpu"])
+def test_start_method_forks_only_a_single_threaded_process(monkeypatch, tasks, cpus, forks):
     def listdir(path):
         assert path == "/proc/self/task"
         if isinstance(tasks, type):
@@ -533,7 +530,8 @@ def test_start_method_forks_only_a_single_threaded_process(monkeypatch, tasks, m
         return tasks
 
     monkeypatch.setattr(os, "listdir", listdir)
-    assert cli._start_method() == method
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert cli._forks_worker() is forks
 
 
 def test_start_method_counts_this_process_threads():
@@ -542,7 +540,7 @@ def test_start_method_counts_this_process_threads():
     thread = threading.Thread(target=release.wait, args=(60,))
     thread.start()
     try:
-        assert cli._start_method() == "spawn"
+        assert cli._forks_worker() is False
     finally:
         release.set()
         thread.join(60)
@@ -556,7 +554,7 @@ def test_run_worker_and_in_process_paths_agree(tmp_path, synth_pair, capsys, mon
                                                ranks):
     raw_a, raw_b = synth_pair
     outputs = {}
-    for path in ("fork", "spawn", "in-process"):
+    for path in ("fork", "in-process"):
         take_path(monkeypatch, path)
         out = tmp_path / path
         assert run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(raw_b),
@@ -566,7 +564,6 @@ def test_run_worker_and_in_process_paths_agree(tmp_path, synth_pair, capsys, mon
         files = {p.name: p.read_bytes() for p in out.iterdir()}
         outputs[path] = (files, captured.out.replace(str(out), "OUT"), captured.err)
     assert outputs["fork"] == outputs["in-process"]
-    assert outputs["spawn"] == outputs["in-process"]
     files, stdout, _ = outputs["fork"]
     assert len(files) == (14 if ranks else 16)
     lines = stdout.splitlines()
@@ -600,7 +597,7 @@ def test_run_failure_in_period_b_exits_2_after_a(tmp_path, synth_pair, capsys, m
 def test_run_failure_in_period_a_stops_the_worker(tmp_path, synth_pair, capsys, monkeypatch):
     _, raw_b = synth_pair
     table = write_count_table(tmp_path / "table.csv", [[1, 2], [3, 4]])
-    for path in ("fork", "spawn", "in-process"):
+    for path in ("fork", "in-process"):
         take_path(monkeypatch, path)
         # A count table is not raw records: A fails in ingest while B runs.
         assert run_cli_within(120, "run", "--input-a", str(table), "--input-b", str(raw_b),
@@ -617,26 +614,25 @@ def test_run_unexpected_error_in_period_b_propagates(tmp_path, synth_pair, capsy
     with pytest.raises(IsADirectoryError):
         run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(tmp_path),
                        "--rank-a", "6", "--rank-b", "4", "--out", str(tmp_path / "out"))
-    if path != "in-process":  # the worker's traceback is kept
+    if path == "fork":  # the worker's traceback is kept
         assert "Traceback" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
 
 
 @forks_with_threads
 def test_worker_that_dies_without_a_result_is_an_error():
-    for method in ("fork", "spawn"):
-        ctx = multiprocessing.get_context(method)
-        conn, child_conn = ctx.Pipe(duplex=False)
-        worker = ctx.Process(target=os._exit, args=(7,))
-        worker.start()
-        child_conn.close()
-        worker.join(60)
-        assert worker.exitcode == 7, method
-        assert conn.poll(60)  # end of file, not a hang
-        with pytest.raises(RuntimeError, match="period B exited with code 7 without a result"):
-            cli._receive(worker, conn, "B")
-        conn.close()
-        assert multiprocessing.active_children() == []
+    ctx = multiprocessing.get_context("fork")
+    conn, child_conn = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=os._exit, args=(7,))
+    worker.start()
+    child_conn.close()
+    worker.join(60)
+    assert worker.exitcode == 7
+    assert conn.poll(60)  # end of file, not a hang
+    with pytest.raises(RuntimeError, match="period B exited with code 7 without a result"):
+        cli._receive(worker, conn, "B")
+    conn.close()
+    assert multiprocessing.active_children() == []
 
 
 def program_env():
@@ -653,14 +649,14 @@ def program(argv, env, *flags):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("blas_threads, method", [("1", "fork"), (None, "fork"), ("2", "spawn")],
-                         ids=["pinned-blas-forks", "unset-blas-forks", "unpinned-blas-spawns"])
+@pytest.mark.parametrize("blas_threads, forks", [("1", True), (None, True), ("2", False)],
+                         ids=["pinned-blas-forks", "unset-blas-forks", "unpinned-blas-in-process"])
 def test_run_in_a_real_process_warns_nothing(tmp_path, synth_pair, capsys, monkeypatch,
-                                             blas_threads, method):
+                                             blas_threads, forks):
     # A bare `run` process with every warning an error: with one BLAS thread,
     # set by the user or, when unset, by the program, it is single-threaded
     # and forks; with two that the user set, OpenBLAS's own thread makes it
-    # spawn. Either way --out equals the in-process path's.
+    # run period B after A. Either way --out equals the in-process path's.
     raw_a, raw_b = synth_pair
     env = program_env()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -668,20 +664,19 @@ def test_run_in_a_real_process_warns_nothing(tmp_path, synth_pair, capsys, monke
         if blas_threads is not None:
             env[var] = blas_threads
     probe = subprocess.run(
-        [sys.executable, "-c", "import trafficnmf.cli as c; "
-                               "print(c._start_method() if c._cpu_count() > 1 else 'one CPU')"],
+        [sys.executable, "-c", "import os, trafficnmf.cli as c; "
+                               "print(c._forks_worker(), len(os.sched_getaffinity(0)))"],
         env=env, capture_output=True, text=True, timeout=60)
-    taken = probe.stdout.strip()
-    # One CPU takes neither path; a BLAS that starts no thread of its own forks.
-    if taken == "one CPU" or (method, taken) == ("spawn", "fork"):
-        pytest.skip(f"a run here takes the {taken} path")
-    assert taken == method, probe.stderr
+    taken, cpus = probe.stdout.split()
+    if forks and cpus == "1":
+        pytest.skip("a run on one CPU does not fork")
+    assert taken == str(forks), probe.stderr
 
     argv = ["run", "--input-a", str(raw_a), "--input-b", str(raw_b), "--seed", "0"]
-    out = tmp_path / method
+    out = tmp_path / "real"
     proc = program([*argv, "--out", str(out)], env, "-X", "dev", "-W", "error")
     assert (proc.returncode, proc.stderr) == (0, "")
-    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(cli, "_forks_worker", lambda: False)
     reference = tmp_path / "in-process"
     capsys.readouterr()
     assert run_cli(*argv, "--out", str(reference)) == 0
@@ -689,6 +684,22 @@ def test_run_in_a_real_process_warns_nothing(tmp_path, synth_pair, capsys, monke
         str(reference), "OUT")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == {
         p.name: p.read_bytes() for p in reference.iterdir()}
+
+
+def test_rank_scan_in_a_real_process_matches_in_process(tmp_path, capsys):
+    # In-process runs get the BLAS thread count the program gives itself
+    # (see conftest.py). A 1600-location scan writes other bytes on two
+    # threads than on one.
+    raw = tmp_path / "synth"
+    assert run_cli("synth", "--locations", "1600", "--rank", "6", "--noise", "0.05",
+                   "--seed", "0", "--out", str(raw)) == 0
+    assert run_cli("ingest", "--input-a", str(raw / "synth_A.csv"), "--out", str(tmp_path)) == 0
+    argv = ["rank-scan", "--input-a", str(tmp_path / "counts_A.csv")]
+    proc = program([*argv, "--out", str(tmp_path / "real")], program_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert run_cli(*argv, "--out", str(tmp_path / "in-process")) == 0
+    assert ((tmp_path / "real" / "rank_scan_A.csv").read_bytes()
+            == (tmp_path / "in-process" / "rank_scan_A.csv").read_bytes())
 
 
 @pytest.mark.parametrize("command", ["ingest", "rank-scan", "factorize"])

@@ -7,7 +7,6 @@ from trafficnmf.errors import DegenerateClusteringError, InvalidRankError
 from trafficnmf.ingest import minmax_normalize
 from trafficnmf.nmf import NmfConfig, factorize
 from trafficnmf.rank import (
-    POINTS_MATRIX,
     ClusterAssignment,
     assign_clusters,
     between_dispersion,
@@ -242,16 +241,6 @@ def test_rank_scan_lists_skipped_ranks_with_their_reason():
     assert result.skipped == {5: "rank 5 exceeds min matrix dimension 4",
                               6: "rank 6 exceeds min matrix dimension 4"}
     assert rank_scan(x, range(3, 5), NmfConfig(rank=2, seed=0)).skipped == {}
-
-
-def test_rank_scan_matrix_points_share_total_scatter():
-    # In matrix-points mode the scanned point set is the same at every
-    # rank, so W + B must equal the one total scatter throughout.
-    x = planted_normalized(3, seed=6)
-    result = rank_scan(x, range(2, 7), NmfConfig(rank=2, seed=11), points=POINTS_MATRIX)
-    total = total_scatter(x.values)
-    for e in result.entries:
-        assert abs((e.within_dispersion + e.between_dispersion) - total) <= 1e-8 * total
 
 
 def test_rank_scan_factor_points_decomposition():
