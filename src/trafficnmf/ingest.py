@@ -206,11 +206,11 @@ def parse_records(
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     rejections = RejectionSummary()
-    blocks, n_rows = [], 0
+    blocks, n_rows, ids = [], 0, {}
     for fields, lines, _ in _split_rows(stream, schema.delimiter,
                                         lambda header: _column_indices(header, schema)):
         n_rows += len(lines)
-        blocks.append(_validate(fields, lines, rejections))
+        blocks.append(_validate(fields, lines, rejections, ids))
     if n_rows == 0:
         raise EmptyInputError("input has a header but no data rows")
     locs, lats, lons, hours, counts = (np.concatenate(column) for column in zip(*blocks))
@@ -363,9 +363,10 @@ def _integral(values: np.ndarray) -> np.ndarray:
     return np.isfinite(values) & (np.floor(values) == values)
 
 
-def _validate(fields, lines: np.ndarray, rejections: RejectionSummary):
+def _validate(fields, lines: np.ndarray, rejections: RejectionSummary, ids: dict[str, str]):
     """Check one block of rows, add its rejections in row order and return
-    its accepted rows as five arrays.
+    its accepted rows as five arrays. Each location id is the first string
+    `ids` holds for it, so the rows of one location share one string.
 
     Each row's reason is the first of the checks that fails, in this order:
     location, latitude, longitude or count missing or not a number, or a
@@ -374,6 +375,7 @@ def _validate(fields, lines: np.ndarray, rejections: RejectionSummary):
     """
     loc_ids, lat, lon, hour, count = fields
     loc_ids = list(map(str.strip, loc_ids))
+    loc_ids = list(map(ids.setdefault, loc_ids, loc_ids))
     (lat, bad_lat), (lon, bad_lon), (hour, bad_hour), (count, bad_count) = map(
         _floats, (lat, lon, hour, count))
     has_id = np.fromiter(map(bool, loc_ids), bool, len(loc_ids))
@@ -403,26 +405,31 @@ def build_matrix(records: RecordTable, window: HourWindow | None = None) -> Coun
     keep = (records.hour >= window.start) & (records.hour <= window.end)
     if not keep.any():
         raise EmptyInputError("no records inside the hour window")
+    columns = (records.location_ids, records.hour, records.count, records.latitude,
+               records.longitude)
+    loc_ids, hour, count, lat, lon = columns if keep.all() else (c[keep] for c in columns)
 
     # Sorting the distinct ids in Python keeps str ordering exact; numpy's
     # fixed-width strings would drop trailing NULs.
-    loc_ids = records.location_ids[keep].tolist()
     ids = sorted(set(loc_ids))
     row_of = {loc_id: i for i, loc_id in enumerate(ids)}
     n_hours = window.end - window.start + 1
-    loc = np.array([row_of[loc_id] for loc_id in loc_ids], dtype=np.int64)
-    cell = loc * n_hours + (records.hour[keep] - window.start)
-    count = records.count[keep]
-    lat = records.latitude[keep]
-    lon = records.longitude[keep]
-    # One order fixes both each location's coordinates (its first record)
-    # and the order in which each cell's counts are summed, so neither
-    # depends on the input order.
-    order = np.lexsort((lon, lat, count, cell))
-    cell = cell[order]
+    loc = np.fromiter(map(row_of.__getitem__, loc_ids), np.int64, len(loc_ids))
+    cell = loc * n_hours
+    cell += hour - window.start
+    # Each cell's counts are summed in ascending order, so the sum does not
+    # depend on the input order. Below 2**53 every partial sum of integral
+    # counts is exact, so any order gives those bits.
+    in_order = np.abs(count).sum() < 2**53 and (np.trunc(count) == count).all()
+    order = slice(None) if in_order else np.lexsort((count, cell))
+    values = np.bincount(cell[order], weights=count[order], minlength=len(ids) * n_hours)
+    # A location's coordinates are those of the first of the records in its
+    # first cell, ordered by count, latitude and longitude.
+    filled = np.bincount(cell, minlength=len(ids) * n_hours).reshape(len(ids), n_hours) > 0
+    first_cell = filled.argmax(axis=1) + np.arange(len(ids)) * n_hours
+    candidates = np.flatnonzero(cell == first_cell[loc])
+    order = candidates[np.lexsort(tuple(c[candidates] for c in (lon, lat, count, cell)))]
     first = order[np.flatnonzero(np.diff(loc[order], prepend=-1))]
-
-    values = np.bincount(cell, weights=count[order], minlength=len(ids) * n_hours)
     locations = list(zip(ids, lat[first].tolist(), lon[first].tolist()))
     return CountMatrix(values.reshape(len(ids), n_hours), locations, window.hours(),
                        period_label=records.period_label)

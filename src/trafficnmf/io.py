@@ -253,7 +253,8 @@ def write_spatial_geojson(path: Path | str, patterns: PatternSet) -> None:
     dominant pattern, for external map rendering.
 
     The file holds what json.dumps writes with sorted keys and compact
-    separators, built from one text template per feature.
+    separators, built from one text template per feature and written one
+    feature at a time.
     """
     order = sorted(range(patterns.rank), key=_plabel)  # json's key order: p10 before p2
     feature = ('{"geometry":{"coordinates":[%s,%s],"type":"Point"},'
@@ -265,11 +266,13 @@ def write_spatial_geojson(path: Path | str, patterns: PatternSet) -> None:
     # json writes a float as repr does, but NaN and the infinities as NaN and Infinity.
     number = repr if np.isfinite(numbers).all() else json.dumps
     dominant = patterns.dominant_patterns().tolist()
-    features = ",".join(
-        feature % (*map(number, row[:2]), _plabel(g), json.dumps(loc[0]), *map(number, row[2:]))
-        for loc, row, g in zip(locations, numbers.tolist(), dominant))
-    Path(path).write_text('{"features":[' + features + '],"type":"FeatureCollection"}\n',
-                          encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.write('{"features":[')
+        for i, (loc, row, g) in enumerate(zip(locations, numbers, dominant)):
+            row = row.tolist()
+            f.write("," * (i > 0) + feature % (*map(number, row[:2]), _plabel(g),
+                                               json.dumps(loc[0]), *map(number, row[2:])))
+        f.write('],"type":"FeatureCollection"}\n')
 
 
 def comparison_to_dict(report: ComparisonReport) -> dict:

@@ -1,6 +1,8 @@
 import csv
 import io
+import itertools
 import random
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -158,6 +160,72 @@ def test_build_matrix_conservation_and_permutation_invariance():
         assert np.array_equal(m.values, m2.values)
         assert m.locations == m2.locations
         assert m.hours == m2.hours
+
+
+def test_build_matrix_sums_a_cell_past_2_53_in_ascending_order():
+    """Summed in record order, 2**53 + 1 + 1 rounds to 2**53 twice; summed
+    in ascending order it is exact, whatever order the records came in."""
+    assert float(2**53) + 1 + 1 == 2**53
+    for counts in itertools.permutations([2**53, 1, 1]):
+        text = "".join(f"\nL1,51.0,-0.1,7,{c}" for c in counts)
+        m = build_matrix(parse_records(HEADER + text + "\n").records)
+        assert m.values[0, 0] == 2**53 + 2, counts
+
+
+def test_build_matrix_takes_coordinates_from_the_first_record_of_the_first_cell():
+    """A location's coordinates come from its earliest hour; there, from the
+    smallest count, then the smallest latitude, then the smallest longitude."""
+    records = [rec("L1", 8, 1, lat=40.0, lon=-9.0), rec("L1", 7, 5, lat=50.0, lon=-3.0),
+               rec("L1", 7, 5, lat=49.0, lon=-1.0), rec("L1", 7, 5, lat=49.0, lon=-2.0),
+               rec("L1", 7, 6, lat=10.0, lon=-9.0)]
+    for order in itertools.permutations(records):
+        assert records_matrix(list(order)).locations == [("L1", 49.0, -2.0)]
+
+
+def test_parse_records_keeps_one_id_string_per_location():
+    """Across blocks, on the plain path and on the csv path, every row of a
+    location holds the same string object, the stripped one for padded ids."""
+    ids = ["L1", " L1 ", "L2", "L2\t", "L10"] * 20
+    plain = HEADER + "".join(f"\n{loc},51.0,-0.1,{7 + k % 12},{k}" for k, loc in enumerate(ids))
+    quoted = plain + '\n"L2",51.0,-0.1,7,1\nL1,51.0,-0.1,8,2\n'
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 50):
+        for text in (plain + "\n", quoted):
+            loc_ids = parse_records(text).records.location_ids
+            assert sorted(set(loc_ids)) == ["L1", "L10", "L2"]
+            assert len({id(loc) for loc in loc_ids}) == 3
+
+
+def dft_shaped_file(n_locations=1000):
+    """A raw-count file object of 24 rows per location: two directions in
+    each hour of the default window, shuffled."""
+    rng = random.Random(0)
+    rows = [f"CP{i:06d},{51 + i / 1e4!r},{-1 - i / 1e4!r},{hour},{rng.randrange(2000)}"
+            for i in range(n_locations) for hour in range(7, 19) for _ in "NS"]
+    rng.shuffle(rows)
+    data = "\n".join([HEADER, *rows, ""]).encode("ascii")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), len(rows)
+
+
+def test_parse_and_aggregate_hold_memory_per_location_not_per_row():
+    """The parsed table keeps five 8-byte columns and one id string per
+    location, about 43 bytes per row (97 with one string per row), and
+    build_matrix's peak is about 33 bytes per row (83 with a sorted copy of
+    each column). The bounds sit about 40% above those values."""
+    f, n_rows = dft_shaped_file()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = parse_records(f)
+        retained = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        m = build_matrix(result.records)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (1000, 12)
+    assert retained / n_rows < 60
+    assert peak / n_rows < 46
 
 
 def test_minmax_column_formula():

@@ -251,6 +251,40 @@ def test_writers_are_deterministic(tmp_path, matrix):
     assert (tmp_path / "g0.geojson").read_bytes() == (tmp_path / "g1.geojson").read_bytes()
 
 
+@pytest.mark.parametrize("non_finite", [False, True])
+def test_geojson_is_exactly_the_compact_json_dump(tmp_path, non_finite):
+    """The templated, streamed GeoJSON holds the bytes json.dumps writes with
+    sorted keys and compact separators, for ids json must escape, floats
+    json prints as NaN or Infinity, -0.0, and pattern labels p10 and p11,
+    which sort before p2."""
+    ids = ['a"b', "back\\slash", "nul\x00", "cr\rlf", "Zürich", "東京"]
+    rng = np.random.default_rng(3)
+    rank = 11
+    spatial = rng.random((len(ids), rank))
+    spatial[0, 1] = spatial[1, 0] = -0.0
+    spatial[2, 10] = 1e-300
+    if non_finite:
+        spatial[3, 2], spatial[4, 9], spatial[5, 4] = np.nan, np.inf, -np.inf
+    locations = [(loc, 51.0 + k / 7, -0.0 if k == 0 else -k / 3) for k, loc in enumerate(ids)]
+    matrix = CountMatrix(np.ones((len(ids), 12)), locations, list(range(7, 19)), "A")
+    ps = PatternSet(temporal=np.ones((12, rank)), spatial=spatial, matrix=matrix,
+                    column_norms=np.ones(rank))
+    path = tmp_path / "spatial.geojson"
+    tio.write_spatial_geojson(path, ps)
+
+    features = [
+        {"type": "Feature",
+         "geometry": {"type": "Point", "coordinates": [lon, lat]},
+         "properties": {"location_id": loc, "dominant_pattern": f"p{g + 1}",
+                        **{f"p{k + 1}": v for k, v in enumerate(row)}}}
+        for (loc, lat, lon), row, g in zip(locations, spatial.tolist(),
+                                           ps.dominant_patterns().tolist())]
+    collection = {"type": "FeatureCollection", "features": features}
+    expected = json.dumps(collection, sort_keys=True, separators=(",", ":")) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert expected.index('"p10":') < expected.index('"p2":')
+
+
 def test_fmt_integral_and_float():
     assert tio._fmt(8342.0) == "8342"
     assert tio._fmt(0.5) == "0.5"
