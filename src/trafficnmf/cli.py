@@ -197,7 +197,8 @@ def _ingest_file(path: Path, label: str, window: HourWindow) -> CountMatrix:
             print(f"{path}: {len(result.records)} records parsed, {result.rejections.describe()}")
             matrix = build_matrix(result.records, window)
         except DataError as e:  # these know no file name; read_text's own errors carry it
-            raise type(e)(f"{path}: {e}") from None
+            sep = ", " if str(e).startswith("line ") else ": "  # "<file>, line N:" as theirs
+            raise type(e)(f"{path}{sep}{e}") from None
     n, m = matrix.shape
     print(f"{label}: {n} locations x {m} hour bins")
     return matrix
@@ -303,65 +304,66 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _period(cfg: PipelineConfig, path: Path, label: str,
-            rank: int | None) -> tuple[PatternSet, tuple[str, str]]:
+def _period(cfg: PipelineConfig, path: Path, label: str, rank: int | None) -> PatternSet:
     """Everything `run` does for one period: ingest, count table, normalize,
     scan or fixed-rank solve, factor tables, patterns and pattern files.
 
-    Returns the patterns, which carry the count matrix, and the (stdout,
-    stderr) text of the period, captured so that a worker process never
-    writes to the shared streams. An exception leaves with `stage`, the
-    pipeline stage it came from, and `output`, the text captured until then.
+    Returns the patterns, which carry the count matrix. An exception leaves
+    with `stage`, the pipeline stage it came from.
     """
     from .patterns import extract_patterns
 
-    out, err = StringIO(), StringIO()
     stage = "ingest"
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            matrix = _ingest_file(path, label, cfg.window)
-            tio.write_count_matrix(_out_file(cfg.out, "counts_{}.csv", label), matrix)
-            stage = "normalize"
-            x = minmax_normalize(matrix)
-            stage = "rank selection" if rank is None else "factorization"
-            nmf_cfg, pair = _solve(cfg, x, label, rank)
-            _write_factors(cfg.out, label, nmf_cfg, pair, matrix)
-            stage = "pattern extraction"
-            patterns = extract_patterns(pair, x)
-            tio.write_temporal_patterns(
-                _out_file(cfg.out, "temporal_patterns_{}.csv", label), patterns)
-            tio.write_spatial_geojson(
-                _out_file(cfg.out, "spatial_patterns_{}.geojson", label), patterns)
+        matrix = _ingest_file(path, label, cfg.window)
+        tio.write_count_matrix(_out_file(cfg.out, "counts_{}.csv", label), matrix)
+        stage = "normalize"
+        x = minmax_normalize(matrix)
+        stage = "rank selection" if rank is None else "factorization"
+        nmf_cfg, pair = _solve(cfg, x, label, rank)
+        _write_factors(cfg.out, label, nmf_cfg, pair, matrix)
+        stage = "pattern extraction"
+        patterns = extract_patterns(pair, x)
+        tio.write_temporal_patterns(
+            _out_file(cfg.out, "temporal_patterns_{}.csv", label), patterns)
+        tio.write_spatial_geojson(
+            _out_file(cfg.out, "spatial_patterns_{}.geojson", label), patterns)
     except BaseException as e:
-        e.stage, e.output = stage, (out.getvalue(), err.getvalue())
+        e.stage = stage
         raise
-    return patterns, (out.getvalue(), err.getvalue())
+    return patterns
 
 
 def _period_worker(conn, cfg: PipelineConfig, path: Path, label: str,
                    rank: int | None) -> None:
-    """`_period` in a worker process: sends ("ok", result) or ("error",
-    exception) back. Exceptions pickle their attributes, `stage` included."""
+    """`_period` in a worker process, its output captured so that it never
+    writes to the shared streams: sends (("ok", patterns) or ("error",
+    exception), stdout, stderr) back. Exceptions pickle `stage` with them."""
+    out, err = StringIO(), StringIO()
     try:
-        reply = ("ok", _period(cfg, path, label, rank))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            reply = ("ok", _period(cfg, path, label, rank))
     except Exception as e:
         if not isinstance(e, TrafficNmfError):  # a bug: keep the worker's traceback
             import traceback  # here, so the other commands do not load it
 
-            e.output = (e.output[0], e.output[1] + traceback.format_exc())
+            err.write(traceback.format_exc())
         reply = ("error", e)
     with conn:
-        conn.send(reply)
+        conn.send((reply, out.getvalue(), err.getvalue()))
 
 
-def _receive(worker, conn, label: str):
-    """The worker's `_period` result; raises the worker's exception."""
+def _receive(worker, conn, label: str) -> PatternSet:
+    """Write the worker's stdout and stderr here, then return the patterns
+    of its `_period` or raise its exception."""
     try:
-        status, value = conn.recv()
+        (status, value), out, err = conn.recv()
     except EOFError:
         worker.join()
         raise RuntimeError(f"the worker process of period {label} exited with code "
                            f"{worker.exitcode} without a result") from None
+    sys.stdout.write(out)
+    sys.stderr.write(err)
     if status == "error":
         raise value
     return value
@@ -382,11 +384,6 @@ def _forks_worker() -> bool:
     except OSError:
         return False
     return threads == 1 and len(os.sched_getaffinity(0)) > 1
-
-
-def _emit(output: tuple[str, str]) -> None:
-    sys.stdout.write(output[0])
-    sys.stderr.write(output[1])
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -417,22 +414,20 @@ def cmd_run(args: argparse.Namespace) -> int:
                 process = ctx.Process(target=_period_worker, args=(child_conn, *period_b))
                 process.start()
             worker = process
-        patterns_a, output = _period(cfg, path_a, cfg.label_a, cfg.rank_a)
-        _emit(output)
+        patterns_a = _period(cfg, path_a, cfg.label_a, cfg.rank_a)
         if worker is not None:
-            patterns_b, output = _receive(worker, conn, cfg.label_b)
+            patterns_b = _receive(worker, conn, cfg.label_b)
         else:
-            patterns_b, output = _period(*period_b)
-        _emit(output)
+            patterns_b = _period(*period_b)
 
         stage = "comparison"
         match = match_patterns(patterns_a, patterns_b, cfg.threshold)
         report = compare_periods(patterns_a, patterns_b, match)
-        tio.write_comparison_report(cfg.out / "report.json", cfg.out / "summary.txt", report)
+        summary = tio.write_comparison_report(cfg.out / "report.json", cfg.out / "summary.txt",
+                                              report)
     except BaseException as e:
         if worker is not None:
             worker.terminate()
-        _emit(getattr(e, "output", ("", "")))
         if isinstance(e, TrafficNmfError):
             print(f"pipeline failed during {getattr(e, 'stage', stage)}; "
                   f"outputs under {cfg.out} may be partial", file=sys.stderr)
@@ -443,7 +438,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if conn is not None:
             conn.close()
 
-    print(tio.render_summary(report), end="")
+    print(summary, end="")
     print(f"wrote {cfg.out / 'report.json'} and {cfg.out / 'summary.txt'}")
     return 0
 

@@ -206,16 +206,18 @@ def parse_records(
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     rejections = RejectionSummary()
-    blocks, n_rows, ids = [], 0, {}
+    columns, n_rows, ids = [[] for _ in range(5)], 0, {}
     for fields, lines, _ in _split_rows(stream, schema.delimiter,
                                         lambda header: _column_indices(header, schema)):
         n_rows += len(lines)
-        blocks.append(_validate(fields, lines, rejections, ids))
+        for column, block in zip(columns, _validate(fields, lines, rejections, ids)):
+            column.append(block)
     if n_rows == 0:
         raise EmptyInputError("input has a header but no data rows")
-    locs, lats, lons, hours, counts = (np.concatenate(column) for column in zip(*blocks))
-    table = RecordTable(location_ids=locs, latitude=lats, longitude=lons,
-                        hour=hours.astype(np.int64), count=counts, period_label=period_label)
+    # One column at a time, its blocks freed once it is joined.
+    locs, lats, lons, hours, counts = (np.concatenate(columns.pop(0)) for _ in range(5))
+    table = RecordTable(location_ids=locs, latitude=lats, longitude=lons, hour=hours,
+                        count=counts, period_label=period_label)
     return ParseResult(table, rejections)
 
 
@@ -365,8 +367,9 @@ def _integral(values: np.ndarray) -> np.ndarray:
 
 def _validate(fields, lines: np.ndarray, rejections: RejectionSummary, ids: dict[str, str]):
     """Check one block of rows, add its rejections in row order and return
-    its accepted rows as five arrays. Each location id is the first string
-    `ids` holds for it, so the rows of one location share one string.
+    its accepted rows as five arrays, the hours as int64. Each location id
+    is the first string `ids` holds for it, so the rows of one location
+    share one string.
 
     Each row's reason is the first of the checks that fails, in this order:
     location, latitude, longitude or count missing or not a number, or a
@@ -391,7 +394,8 @@ def _validate(fields, lines: np.ndarray, rejections: RejectionSummary, ids: dict
         rejections.add(line, _REASONS[r])
 
     keep = reason < 0
-    return np.array(loc_ids, dtype=object)[keep], lat[keep], lon[keep], hour[keep], count[keep]
+    return (np.array(loc_ids, dtype=object)[keep], lat[keep], lon[keep],
+            hour[keep].astype(np.int64), count[keep])
 
 
 def build_matrix(records: RecordTable, window: HourWindow | None = None) -> CountMatrix:

@@ -276,27 +276,28 @@ def write_spatial_geojson(path: Path | str, patterns: PatternSet) -> None:
 
 
 def comparison_to_dict(report: ComparisonReport) -> dict:
-    # Patterns are referenced by the same p1..pr labels used as column
-    # names in the factor and temporal tables.
+    """The facts of a comparison, as report.json holds them. Patterns are
+    named p1..pr, as in the columns of the factor and temporal tables."""
+    set_a, set_b = report.set_a, report.set_b
     out = {
         "total_reduction_pct": report.total_reduction_pct,
         "threshold": report.match.threshold,
         "matched": [
             {
-                "pattern_a": _plabel(n.pattern_a),
-                "pattern_b": _plabel(n.pattern_b),
-                "similarity": n.similarity,
-                "peak_hour_a": n.peak_hour_a,
-                "peak_hour_b": n.peak_hour_b,
-                "peak_shift": n.peak_shift,
+                "pattern_a": _plabel(i),
+                "pattern_b": _plabel(j),
+                "similarity": sim,
+                "peak_hour_a": set_a.peak_hour(i),
+                "peak_hour_b": set_b.peak_hour(j),
+                "peak_shift": set_b.peak_hour(j) - set_a.peak_hour(i),
             }
-            for n in report.per_pattern_notes
+            for i, j, sim in report.match.pairs
         ],
         "unmatched_a": [_plabel(i) for i in report.match.unmatched_a],
         "unmatched_b": [_plabel(j) for j in report.match.unmatched_b],
         "disappeared_count": len(report.match.unmatched_a),
     }
-    for key, patterns in (("period_a", report.set_a), ("period_b", report.set_b)):
+    for key, patterns in (("period_a", set_a), ("period_b", set_b)):
         counts = patterns.dominant_location_counts()
         out[key] = {
             "label": patterns.matrix.period_label,
@@ -309,44 +310,45 @@ def comparison_to_dict(report: ComparisonReport) -> dict:
 
 
 def write_comparison_report(json_path: Path | str, text_path: Path | str,
-                            report: ComparisonReport) -> None:
-    write_json(json_path, comparison_to_dict(report))
-    Path(text_path).write_text(render_summary(report), encoding="utf-8")
+                            report: ComparisonReport) -> str:
+    """Write report.json and summary.txt from one set of facts; returns the
+    summary's text."""
+    facts = comparison_to_dict(report)
+    write_json(json_path, facts)
+    text = render_summary(facts)
+    Path(text_path).write_text(text, encoding="utf-8")
+    return text
 
 
-def render_summary(report: ComparisonReport) -> str:
-    set_a, set_b = report.set_a, report.set_b
-    a, b = set_a.matrix.period_label, set_b.matrix.period_label
+def render_summary(facts: dict) -> str:
+    """The text of summary.txt from the facts `comparison_to_dict` returns,
+    or report.json holds: its dominant counts are listed p1, p2, ..., p10."""
+    a, b = facts["period_a"], facts["period_b"]
     lines = [
-        f"Period comparison: {a} vs {b}",
-        f"Total vehicle count: {_fmt(set_a.matrix.total())} -> {_fmt(set_b.matrix.total())} "
-        f"({report.total_reduction_pct:.1f}% reduction)",
-        f"Patterns: {set_a.rank} in {a}, {set_b.rank} in {b} "
-        f"(match threshold {report.match.threshold:g})",
+        f"Period comparison: {a['label']} vs {b['label']}",
+        f"Total vehicle count: {_fmt(a['total_count'])} -> {_fmt(b['total_count'])} "
+        f"({facts['total_reduction_pct']:.1f}% reduction)",
+        f"Patterns: {a['rank']} in {a['label']}, {b['rank']} in {b['label']} "
+        f"(match threshold {facts['threshold']:g})",
     ]
-    if report.per_pattern_notes:
+    if facts["matched"]:
         lines.append("Matched patterns:")
-        for n in report.per_pattern_notes:
-            shift = f"shifted {n.peak_shift:+d}h" if n.peak_shift else "unchanged"
+        for n in facts["matched"]:
+            shift = f"shifted {n['peak_shift']:+d}h" if n["peak_shift"] else "unchanged"
             lines.append(
-                f"  {a} {_plabel(n.pattern_a)} ~ {b} {_plabel(n.pattern_b)}"
-                f" (similarity {n.similarity:.3f}), peak {n.peak_hour_a:02d}:00 ->"
-                f" {n.peak_hour_b:02d}:00 ({shift})"
+                f"  {a['label']} {n['pattern_a']} ~ {b['label']} {n['pattern_b']}"
+                f" (similarity {n['similarity']:.3f}), peak {n['peak_hour_a']:02d}:00 ->"
+                f" {n['peak_hour_b']:02d}:00 ({shift})"
             )
     else:
         lines.append("Matched patterns: none")
-    gone = ", ".join(map(_plabel, report.match.unmatched_a)) or "none"
-    new = ", ".join(map(_plabel, report.match.unmatched_b)) or "none"
-    lines.append(f"Disappeared from {a}: {gone}")
-    lines.append(f"New in {b}: {new}")
+    lines.append(f"Disappeared from {a['label']}: {', '.join(facts['unmatched_a']) or 'none'}")
+    lines.append(f"New in {b['label']}: {', '.join(facts['unmatched_b']) or 'none'}")
     lines.append("Dominant-pattern location counts:")
-    lines.append("  " + a + ": " + _dominant_line(set_a.dominant_location_counts()))
-    lines.append("  " + b + ": " + _dominant_line(set_b.dominant_location_counts()))
+    for period in (a, b):
+        counts = sorted(period["dominant_location_counts"].items(), key=lambda c: int(c[0][1:]))
+        lines.append(f"  {period['label']}: " + ", ".join(f"{g}={n}" for g, n in counts))
     return "\n".join(lines) + "\n"
-
-
-def _dominant_line(counts: list[int]) -> str:
-    return ", ".join(f"{_plabel(g)}={n}" for g, n in enumerate(counts))
 
 
 def write_json(path: Path | str, obj) -> None:

@@ -64,18 +64,6 @@ class PatternMatch:
     threshold: float
 
 
-@dataclass(frozen=True)
-class PatternNote:
-    """Per matched pair: similarity and where the daily peak moved."""
-
-    pattern_a: int
-    pattern_b: int
-    similarity: float
-    peak_hour_a: int
-    peak_hour_b: int
-    peak_shift: int
-
-
 @dataclass
 class ComparisonReport:
     """Cross-period variation summary built from raw counts and matched patterns."""
@@ -84,7 +72,6 @@ class ComparisonReport:
     set_b: PatternSet
     match: PatternMatch
     total_reduction_pct: float
-    per_pattern_notes: list[PatternNote]
 
 
 def normalization_column_scales(x: NormalizedMatrix) -> np.ndarray:
@@ -181,24 +168,10 @@ def compare_periods(set_a: PatternSet, set_b: PatternSet, match: PatternMatch) -
     """Quantify how traffic changed from period A to period B.
 
     The aggregate reduction always comes from the raw count totals of the
-    sets' matrices, never from normalized values. Matched pairs are
-    annotated with their similarity and peak-hour shift.
+    sets' matrices, never from normalized values.
     """
     total_a = set_a.matrix.total()
     if total_a == 0:
         raise ZeroTotalError("period A has zero total count; reduction undefined")
     reduction = 100.0 * (total_a - set_b.matrix.total()) / total_a
-
-    notes = [
-        PatternNote(
-            pattern_a=i,
-            pattern_b=j,
-            similarity=sim,
-            peak_hour_a=set_a.peak_hour(i),
-            peak_hour_b=set_b.peak_hour(j),
-            peak_shift=set_b.peak_hour(j) - set_a.peak_hour(i),
-        )
-        for i, j, sim in match.pairs
-    ]
-    return ComparisonReport(set_a=set_a, set_b=set_b, match=match,
-                            total_reduction_pct=reduction, per_pattern_notes=notes)
+    return ComparisonReport(set_a=set_a, set_b=set_b, match=match, total_reduction_pct=reduction)

@@ -166,12 +166,12 @@ HEADER = "count_point_id,latitude,longitude,hour,all_motor_vehicles\n"
 
 @pytest.mark.parametrize("command", ["run", "ingest"])
 @pytest.mark.parametrize("text, message", [
-    (None, "input has no header row"),
-    (HEADER, "input has a header but no data rows"),
-    (HEADER.replace("all_motor_vehicles", "cars"), "column 'all_motor_vehicles' not found"),
+    (None, ": input has no header row"),
+    (HEADER, ": input has a header but no data rows"),
+    (HEADER.replace("all_motor_vehicles", "cars"), ": column 'all_motor_vehicles' not found"),
     (HEADER + "L1,50,0,8," + "9" * (csv.field_size_limit() + 1) + "\n",
-     "line 2: field larger than field limit"),
-    (HEADER + "L1,50,0,3,10\n", "no records inside the hour window"),
+     ", line 2: field larger than field limit"),
+    (HEADER + "L1,50,0,3,10\n", ": no records inside the hour window"),
 ], ids=["empty", "header-only", "missing-column", "unsplittable", "outside-the-window"])
 def test_parse_error_names_its_input(tmp_path, synth_pair, capsys, command, text, message):
     # Period B's file fails to parse; the error says which file it was, once.
@@ -187,7 +187,7 @@ def test_parse_error_names_its_input(tmp_path, synth_pair, capsys, command, text
     capsys.readouterr()
     assert run_cli_within(120, *argv) == 2
     err = capsys.readouterr().err
-    assert f"error: {bad}: {message}" in err
+    assert f"error: {bad}{message}" in err
     assert err.count(str(bad)) == 1
 
 
@@ -553,6 +553,13 @@ def test_start_method_counts_this_process_threads():
 def test_run_worker_and_in_process_paths_agree(tmp_path, synth_pair, capsys, monkeypatch,
                                                ranks):
     raw_a, raw_b = synth_pair
+    render, summaries = cli.tio.render_summary, []
+
+    def spy(facts):
+        summaries.append(render(facts))
+        return summaries[-1]
+
+    monkeypatch.setattr(cli.tio, "render_summary", spy)
     outputs = {}
     for path in ("fork", "in-process"):
         take_path(monkeypatch, path)
@@ -571,6 +578,31 @@ def test_run_worker_and_in_process_paths_agree(tmp_path, synth_pair, capsys, mon
     assert lines[1] == "2019: 60 locations x 12 hour bins"
     assert lines[2 if ranks else 3].endswith("synth_2020.csv: 720 records parsed, 0 rows rejected")
     assert lines[-1] == "wrote OUT/report.json and OUT/summary.txt"
+    # Once per run, the summary is rendered, written and printed.
+    assert len(summaries) == 2
+    assert stdout.endswith(files["summary.txt"].decode() + lines[-1] + "\n")
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_run_prints_period_a_as_it_runs(tmp_path, synth_pair, capsys, monkeypatch, path):
+    # A's ingest lines are on stdout when A's solve starts, on either path:
+    # only the forked worker holds its output back.
+    raw_a, raw_b = synth_pair
+    take_path(monkeypatch, path)
+    normalize, this_process, seen = cli.minmax_normalize, os.getpid(), []
+
+    def spy(matrix):
+        if os.getpid() == this_process and not seen:
+            seen.append(capsys.readouterr().out)
+        return normalize(matrix)
+
+    monkeypatch.setattr(cli, "minmax_normalize", spy)
+    capsys.readouterr()
+    assert run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(raw_b),
+                          "--label-a", "2019", "--label-b", "2020", "--rank-a", "6",
+                          "--rank-b", "4", "--out", str(tmp_path / "out")) == 0
+    assert seen == [f"{raw_a}: 720 records parsed, 0 rows rejected\n"
+                    "2019: 60 locations x 12 hour bins\n"]
 
 
 @pytest.mark.parametrize("path", PATHS)

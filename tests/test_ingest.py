@@ -206,17 +206,22 @@ def dft_shaped_file(n_locations=1000):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), len(rows)
 
 
-def test_parse_and_aggregate_hold_memory_per_location_not_per_row():
+def test_parse_and_aggregate_hold_memory_per_location_not_per_row(monkeypatch):
     """The parsed table keeps five 8-byte columns and one id string per
-    location, about 43 bytes per row (97 with one string per row), and
-    build_matrix's peak is about 33 bytes per row (83 with a sorted copy of
-    each column). The bounds sit about 40% above those values."""
+    location, about 43 bytes per row (97 with one string per row); the
+    parse peaks at about 58 bytes per row (97 with every block alive while
+    all columns are joined); and build_matrix's peak is about 33 bytes per
+    row (83 with a sorted copy of each column). The bounds sit 30-40% above
+    those values."""
+    # Small blocks, so that joining the columns, not one block's strings,
+    # sets the parse peak.
+    monkeypatch.setattr(ingest, "_BLOCK_CHARS", 4096)
     f, n_rows = dft_shaped_file()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         result = parse_records(f)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained, parse_peak = (v - before for v in tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         m = build_matrix(result.records)
@@ -225,6 +230,7 @@ def test_parse_and_aggregate_hold_memory_per_location_not_per_row():
         tracemalloc.stop()
     assert m.shape == (1000, 12)
     assert retained / n_rows < 60
+    assert parse_peak / n_rows < 75
     assert peak / n_rows < 46
 
 

@@ -338,10 +338,29 @@ def _hand_made_comparison():
     return compare_periods(set_a, set_b, match_patterns(set_a, set_b, threshold=0.8))
 
 
-def test_comparison_report_files_keep_their_exact_text(tmp_path):
-    report = _hand_made_comparison()
-    tio.write_comparison_report(tmp_path / "report.json", tmp_path / "summary.txt", report)
-    assert (tmp_path / "report.json").read_text(encoding="utf-8") == """\
+def _ten_pattern_comparison():
+    """2019 has ten patterns and 2020 two: 2019's p2 and p10 return as
+    2020's p2 and p1, the other eight disappear. report.json sorts 2019's
+    p10 before p2; the summary lists p1 to p10 in order."""
+    hours = list(range(7, 17))
+    raw_a = CountMatrix(values=np.full((13, 10), 10.0),
+                        locations=[(f"S{i}", 51.0 + i / 4, -0.5) for i in range(13)],
+                        hours=hours, period_label="2019")
+    raw_b = CountMatrix(values=np.full((3, 10), 20.0),
+                        locations=[(f"S{i}", 51.0 + i / 4, -0.5) for i in range(3)],
+                        hours=hours, period_label="2020")
+    set_a = PatternSet(temporal=np.eye(10), spatial=np.vstack([np.eye(10) + 0.1,
+                                                               np.eye(10)[[9, 9, 0]]]),
+                       matrix=raw_a, column_norms=np.arange(1.0, 11.0) * 8)
+    temporal_b = np.zeros((10, 2))
+    temporal_b[9, 0] = temporal_b[1, 1] = 1.0
+    temporal_b[0, 1] = 0.5
+    set_b = PatternSet(temporal=temporal_b, spatial=np.array([[2.0, 1], [1, 3], [0.5, 4]]),
+                       matrix=raw_b, column_norms=np.array([64.0, 97.5]))
+    return compare_periods(set_a, set_b, match_patterns(set_a, set_b, threshold=0.8))
+
+
+_THREE_PATTERN_REPORT = """\
 {
   "disappeared_count": 1,
   "matched": [
@@ -398,7 +417,8 @@ def test_comparison_report_files_keep_their_exact_text(tmp_path):
   "unmatched_b": []
 }
 """
-    assert (tmp_path / "summary.txt").read_text(encoding="utf-8") == """\
+
+_THREE_PATTERN_SUMMARY = """\
 Period comparison: 2019 vs 2020
 Total vehicle count: 1000 -> 640 (36.0% reduction)
 Patterns: 3 in 2019, 2 in 2020 (match threshold 0.8)
@@ -411,6 +431,114 @@ Dominant-pattern location counts:
   2019: p1=1, p2=1, p3=2
   2020: p1=1, p2=2
 """
+
+_TEN_PATTERN_REPORT = """\
+{
+  "disappeared_count": 8,
+  "matched": [
+    {
+      "pattern_a": "p2",
+      "pattern_b": "p2",
+      "peak_hour_a": 8,
+      "peak_hour_b": 8,
+      "peak_shift": 0,
+      "similarity": 0.8944271909999159
+    },
+    {
+      "pattern_a": "p10",
+      "pattern_b": "p1",
+      "peak_hour_a": 16,
+      "peak_hour_b": 16,
+      "peak_shift": 0,
+      "similarity": 1.0
+    }
+  ],
+  "period_a": {
+    "dominant_location_counts": {
+      "p1": 2,
+      "p10": 3,
+      "p2": 1,
+      "p3": 1,
+      "p4": 1,
+      "p5": 1,
+      "p6": 1,
+      "p7": 1,
+      "p8": 1,
+      "p9": 1
+    },
+    "label": "2019",
+    "rank": 10,
+    "temporal_peak_intensity": [
+      8.0,
+      16.0,
+      24.0,
+      32.0,
+      40.0,
+      48.0,
+      56.0,
+      64.0,
+      72.0,
+      80.0
+    ],
+    "total_count": 1300.0
+  },
+  "period_b": {
+    "dominant_location_counts": {
+      "p1": 1,
+      "p2": 2
+    },
+    "label": "2020",
+    "rank": 2,
+    "temporal_peak_intensity": [
+      64.0,
+      97.5
+    ],
+    "total_count": 600.0
+  },
+  "threshold": 0.8,
+  "total_reduction_pct": 53.84615384615385,
+  "unmatched_a": [
+    "p1",
+    "p3",
+    "p4",
+    "p5",
+    "p6",
+    "p7",
+    "p8",
+    "p9"
+  ],
+  "unmatched_b": []
+}
+"""
+
+_TEN_PATTERN_SUMMARY = """\
+Period comparison: 2019 vs 2020
+Total vehicle count: 1300 -> 600 (53.8% reduction)
+Patterns: 10 in 2019, 2 in 2020 (match threshold 0.8)
+Matched patterns:
+  2019 p2 ~ 2020 p2 (similarity 0.894), peak 08:00 -> 08:00 (unchanged)
+  2019 p10 ~ 2020 p1 (similarity 1.000), peak 16:00 -> 16:00 (unchanged)
+Disappeared from 2019: p1, p3, p4, p5, p6, p7, p8, p9
+New in 2020: none
+Dominant-pattern location counts:
+  2019: p1=2, p2=1, p3=1, p4=1, p5=1, p6=1, p7=1, p8=1, p9=1, p10=3
+  2020: p1=1, p2=2
+"""
+
+
+@pytest.mark.parametrize("comparison, report_text, summary_text", [
+    (_hand_made_comparison, _THREE_PATTERN_REPORT, _THREE_PATTERN_SUMMARY),
+    (_ten_pattern_comparison, _TEN_PATTERN_REPORT, _TEN_PATTERN_SUMMARY),
+], ids=["three-patterns", "ten-patterns"])
+def test_comparison_report_files_keep_their_exact_text(tmp_path, comparison, report_text,
+                                                       summary_text):
+    summary = tio.write_comparison_report(tmp_path / "report.json", tmp_path / "summary.txt",
+                                          comparison())
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == report_text
+    assert (tmp_path / "summary.txt").read_text(encoding="utf-8") == summary_text
+    assert summary == summary_text
+    # The summary states the report's facts: report.json renders it too.
+    assert tio.render_summary(json.loads(report_text)) == summary_text
 
 
 # One bad cell rejects a whole table, so the tables are short.

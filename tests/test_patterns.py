@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trafficnmf.errors import HourBinMismatchError, ZeroTotalError
+from trafficnmf.io import comparison_to_dict
 from trafficnmf.ingest import CountMatrix, minmax_normalize
 from trafficnmf.nmf import FactorPair, NmfConfig, factorize
 from trafficnmf.patterns import (
@@ -183,7 +184,7 @@ def test_compare_identical_periods():
     report = compare_periods(ps, ps, match)
     assert report.total_reduction_pct == 0.0
     assert all(sim == pytest.approx(1.0, abs=1e-12) for _, _, sim in match.pairs)
-    assert [n.peak_shift for n in report.per_pattern_notes] == [0, 0, 0]
+    assert [n["peak_shift"] for n in comparison_to_dict(report)["matched"]] == [0, 0, 0]
 
 
 def test_compare_zero_total():
