@@ -38,7 +38,6 @@ _HOME = {
     "PatternSet": "patterns",
     "RankScanResult": "rank",
     "RecordTable": "ingest",
-    "ShapeMismatchError": "errors",
     "SyntheticSpec": "synth",
     "TrafficNmfError": "errors",
     "TrafficRecord": "ingest",
@@ -57,7 +56,6 @@ _HOME = {
     "normalization_column_scales": "patterns",
     "parse_records": "ingest",
     "rank_scan": "rank",
-    "reconstruction_error": "nmf",
     "within_dispersion": "rank",
 }
 

@@ -190,17 +190,19 @@ def _require_input(path_str: str | None, flag: str) -> Path:
     return path
 
 
-def _ingest_file(path: Path, label: str, window: HourWindow) -> CountMatrix:
+def _ingest(cfg: PipelineConfig, path: Path, label: str) -> CountMatrix:
+    """Parse and aggregate one period's raw records, and write its count table."""
     with tio.read_text(path) as f:
         try:
             result = parse_records(f, ColumnMapping(), period_label=label)
             print(f"{path}: {len(result.records)} records parsed, {result.rejections.describe()}")
-            matrix = build_matrix(result.records, window)
+            matrix = build_matrix(result.records, cfg.window)
         except DataError as e:  # these know no file name; read_text's own errors carry it
             sep = ", " if str(e).startswith("line ") else ": "  # "<file>, line N:" as theirs
             raise type(e)(f"{path}{sep}{e}") from None
     n, m = matrix.shape
     print(f"{label}: {n} locations x {m} hour bins")
+    tio.write_count_matrix(_out_file(cfg.out, "counts_{}.csv", label), matrix)
     return matrix
 
 
@@ -235,9 +237,17 @@ def _scan(cfg: PipelineConfig, x: NormalizedMatrix, label: str) -> tuple[RankSca
     return result, scan_path
 
 
+def _prepare(cfg: PipelineConfig, path: Path, label: str, raw: bool) -> NormalizedMatrix:
+    """The first step of a period: its normalized matrix, whose `source` is
+    the count matrix. Raw records are ingested, and their count table is
+    written; otherwise `path` is a count table, and it is read."""
+    matrix = _ingest(cfg, path, label) if raw else tio.read_count_matrix(path, period_label=label)
+    return minmax_normalize(matrix)
+
+
 def _solve(cfg: PipelineConfig, x: NormalizedMatrix, label: str,
            rank: int | None) -> tuple[NmfConfig, FactorPair]:
-    """Solver settings and factorization of one period.
+    """The second step: solver settings and factorization of one period.
 
     A fixed rank is solved directly. Otherwise the ranks are scanned, the
     scan table is written, and the scan's own solve at the recommended
@@ -252,14 +262,24 @@ def _solve(cfg: PipelineConfig, x: NormalizedMatrix, label: str,
     return nmf_cfg, factorize(x, nmf_cfg)
 
 
-def _write_factors(out: Path, label: str, nmf_cfg: NmfConfig, pair: FactorPair,
-                   matrix: CountMatrix) -> None:
+def _finish(cfg: PipelineConfig, x: NormalizedMatrix, label: str, nmf_cfg: NmfConfig,
+            pair: FactorPair, patterns: bool = False) -> PatternSet | None:
+    """The last step: write the factor tables, and with `patterns` also
+    extract the patterns, write the pattern files and return the patterns."""
     tio.write_factor_tables(
-        _out_file(out, "{}_location_loadings.csv", label),
-        _out_file(out, "{}_time_loadings.csv", label),
-        _out_file(out, "{}_diagnostics.json", label),
-        pair, matrix, nmf_cfg,
+        _out_file(cfg.out, "{}_location_loadings.csv", label),
+        _out_file(cfg.out, "{}_time_loadings.csv", label),
+        _out_file(cfg.out, "{}_diagnostics.json", label),
+        pair, x.source, nmf_cfg,
     )
+    if not patterns:
+        return None
+    from .patterns import extract_patterns
+
+    found = extract_patterns(pair, x)
+    tio.write_temporal_patterns(_out_file(cfg.out, "temporal_patterns_{}.csv", label), found)
+    tio.write_spatial_geojson(_out_file(cfg.out, "spatial_patterns_{}.geojson", label), found)
+    return found
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -270,20 +290,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         inputs.append((cfg.input_b, cfg.label_b, "--input-b"))
     cfg.out.mkdir(parents=True, exist_ok=True)
     for path_str, label, flag in inputs:
-        path = _require_input(path_str, flag)
-        matrix = _ingest_file(path, label, cfg.window)
-        out_path = _out_file(cfg.out, "counts_{}.csv", label)
-        tio.write_count_matrix(out_path, matrix)
-        print(f"wrote {out_path}")
+        _ingest(cfg, _require_input(path_str, flag), label)
+        print(f"wrote {_out_file(cfg.out, 'counts_{}.csv', label)}")
     return 0
 
 
 def cmd_rank_scan(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    path = _require_input(cfg.input_a, "--input-a")
-    matrix = tio.read_count_matrix(path, period_label=cfg.label_a)
-    result, out_path = _scan(cfg, minmax_normalize(matrix), cfg.label_a)
+    x = _prepare(cfg, _require_input(cfg.input_a, "--input-a"), cfg.label_a, raw=False)
+    result, out_path = _scan(cfg, x, cfg.label_a)
     print(f"wrote {out_path}")
     print(f"recommended rank: {result.recommended_rank}")
     return 0
@@ -295,9 +311,9 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     path = _require_input(cfg.input_a, "--input-a")
     if cfg.rank_a is None:
         raise ConfigError("--rank-a is required for factorize")
-    matrix = tio.read_count_matrix(path, period_label=cfg.label_a)
-    nmf_cfg, pair = _solve(cfg, minmax_normalize(matrix), cfg.label_a, cfg.rank_a)
-    _write_factors(cfg.out, cfg.label_a, nmf_cfg, pair, matrix)
+    x = _prepare(cfg, path, cfg.label_a, raw=False)
+    nmf_cfg, pair = _solve(cfg, x, cfg.label_a, cfg.rank_a)
+    _finish(cfg, x, cfg.label_a, nmf_cfg, pair)
     print(f"factorized {cfg.label_a} at rank {pair.rank}: "
           f"loss {pair.objective_trace[-1]:.6g} after {pair.iterations_run} iterations"
           f" ({'converged' if pair.converged else 'max iterations'})")
@@ -305,33 +321,20 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def _period(cfg: PipelineConfig, path: Path, label: str, rank: int | None) -> PatternSet:
-    """Everything `run` does for one period: ingest, count table, normalize,
-    scan or fixed-rank solve, factor tables, patterns and pattern files.
+    """Everything `run` does for one period: prepare, solve and finish.
 
-    Returns the patterns, which carry the count matrix. An exception leaves
-    with `stage`, the pipeline stage it came from.
+    Returns the patterns, which carry the count matrix. A package error
+    leaves with `stage`, the pipeline stage it came from: "ingest", then
+    "rank selection" or "factorization".
     """
-    from .patterns import extract_patterns
-
     stage = "ingest"
     try:
-        matrix = _ingest_file(path, label, cfg.window)
-        tio.write_count_matrix(_out_file(cfg.out, "counts_{}.csv", label), matrix)
-        stage = "normalize"
-        x = minmax_normalize(matrix)
+        x = _prepare(cfg, path, label, raw=True)
         stage = "rank selection" if rank is None else "factorization"
-        nmf_cfg, pair = _solve(cfg, x, label, rank)
-        _write_factors(cfg.out, label, nmf_cfg, pair, matrix)
-        stage = "pattern extraction"
-        patterns = extract_patterns(pair, x)
-        tio.write_temporal_patterns(
-            _out_file(cfg.out, "temporal_patterns_{}.csv", label), patterns)
-        tio.write_spatial_geojson(
-            _out_file(cfg.out, "spatial_patterns_{}.geojson", label), patterns)
-    except BaseException as e:
+        return _finish(cfg, x, label, *_solve(cfg, x, label, rank), patterns=True)
+    except TrafficNmfError as e:
         e.stage = stage
         raise
-    return patterns
 
 
 def _period_worker(conn, cfg: PipelineConfig, path: Path, label: str,

@@ -41,10 +41,6 @@ class ZeroTotalError(DataError):
     """The reference period has a zero grand total, so percentage change is undefined."""
 
 
-class ShapeMismatchError(DataError):
-    """Matrix shapes are incompatible."""
-
-
 class InvalidRankError(ConfigError):
     """Requested factorization rank is outside 1..min(n_rows, n_cols)."""
 

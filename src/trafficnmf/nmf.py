@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidRankError, NonFiniteError, NonNegativityError, ShapeMismatchError
+from .errors import InvalidRankError, NonFiniteError, NonNegativityError
 from .ingest import NormalizedMatrix
 
 # Lower clamp for update-rule denominators; avoids division by zero on
@@ -104,12 +104,6 @@ class FactorPair:
         return self.w @ self.h.T
 
 
-def _as_array(x: NormalizedMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(x, NormalizedMatrix):
-        return x.values
-    return np.asarray(x, dtype=float)
-
-
 def _random_init(x: np.ndarray, rank: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     # Uniform in (0, 1] so no entry starts frozen at zero, scaled so the
     # initial product is on the same order as the data.
@@ -168,7 +162,7 @@ def factorize(x: NormalizedMatrix | np.ndarray, cfg: NmfConfig) -> FactorPair:
     input has a NaN or infinite entry, and NonNegativityError if it has a
     negative entry.
     """
-    data = _as_array(x)
+    data = x.values if isinstance(x, NormalizedMatrix) else np.asarray(x, dtype=float)
     n, m = data.shape
     if cfg.rank > min(n, m):
         raise InvalidRankError(f"rank {cfg.rank} exceeds min matrix dimension {min(n, m)}")
@@ -208,13 +202,3 @@ def factorize(x: NormalizedMatrix | np.ndarray, cfg: NmfConfig) -> FactorPair:
     return FactorPair(w=w, h=h, objective_trace=trace, converged=converged,
                       iterations_run=iterations)
 
-
-def reconstruction_error(x: NormalizedMatrix | np.ndarray, pair: FactorPair) -> float:
-    """Frobenius norm of (x - w @ h.T); zero iff the reconstruction is exact."""
-    data = _as_array(x)
-    if data.shape != (pair.w.shape[0], pair.h.shape[0]):
-        raise ShapeMismatchError(
-            f"matrix shape {data.shape} does not match factors "
-            f"({pair.w.shape[0]}x{pair.w.shape[1]}, {pair.h.shape[0]}x{pair.h.shape[1]})"
-        )
-    return float(np.linalg.norm(data - pair.reconstruct()))

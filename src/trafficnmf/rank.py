@@ -55,12 +55,6 @@ class RankScanResult:
     pairs: dict[int, FactorPair]
     skipped: dict[int, str]
 
-    def entry(self, rank: int) -> RankScanEntry:
-        for e in self.entries:
-            if e.rank == rank:
-                return e
-        raise KeyError(f"no scan entry for rank {rank}")
-
 
 def assign_clusters(factor: np.ndarray) -> ClusterAssignment:
     """Assign each row to the column index of its maximum loading.
@@ -144,7 +138,8 @@ def rank_scan(x: NormalizedMatrix | np.ndarray, ranks: Iterable[int],
     any order (or in parallel) gives identical results. A rank whose
     factorization fails is skipped; a rank whose clustering is degenerate
     keeps its dispersions but gets a NaN score; the result's `skipped` maps
-    each skipped rank to the error's message. The recommendation is the
+    each skipped rank to the error's message. Entries and skips are listed
+    by ascending rank, one per distinct rank. The recommendation is the
     rank with the highest finite Calinski-Harabasz score.
 
     Raises InvalidRankError when no candidate rank is at most min(n, m);
@@ -156,18 +151,32 @@ def rank_scan(x: NormalizedMatrix | np.ndarray, ranks: Iterable[int],
     if ranks and min(ranks) > max_rank:
         raise InvalidRankError(
             f"every candidate rank {ranks} exceeds min matrix dimension {max_rank}")
+    outcomes: dict[int, FactorPair | TrafficNmfError] = {}
+    for rank in dict.fromkeys(ranks):  # each distinct rank once, in the order given
+        try:
+            outcomes[rank] = factorize(x, cfg.at_rank(rank))
+        except TrafficNmfError as e:
+            outcomes[rank] = e
+    return _score(outcomes)
+
+
+def _score(outcomes: dict[int, FactorPair | TrafficNmfError]) -> RankScanResult:
+    """The scan result of each rank's outcome: the FactorPair that
+    `factorize(x, cfg.at_rank(rank))` returned, or the error it raised.
+
+    Depends on the outcomes alone, not on who solved them or in what order.
+    Raises NumericalError when every rank failed.
+    """
     entries: list[RankScanEntry] = []
     pairs: dict[int, FactorPair] = {}
     skipped: dict[int, str] = {}
-    for rank in ranks:
-        try:
-            pair = factorize(x, cfg.at_rank(rank))
-        except TrafficNmfError as e:
-            skipped[rank] = str(e)
+    for rank, outcome in sorted(outcomes.items()):
+        if isinstance(outcome, TrafficNmfError):
+            skipped[rank] = str(outcome)
             continue
-        w_d, b_d, k_eff = _dispersions(pair.w, assign_clusters(pair.w))
+        w_d, b_d, k_eff = _dispersions(outcome.w, assign_clusters(outcome.w))
         try:
-            ch = _ch_score(w_d, b_d, k_eff, data.shape[0])
+            ch = _ch_score(w_d, b_d, k_eff, outcome.w.shape[0])
         except DegenerateClusteringError:
             ch = math.nan
         entries.append(RankScanEntry(
@@ -175,9 +184,9 @@ def rank_scan(x: NormalizedMatrix | np.ndarray, ranks: Iterable[int],
             within_dispersion=w_d,
             between_dispersion=b_d,
             ch_score=ch,
-            final_loss=pair.objective_trace[-1],
+            final_loss=outcome.objective_trace[-1],
         ))
-        pairs[rank] = pair
+        pairs[rank] = outcome
 
     if not entries:
         raise NumericalError("every candidate rank failed to factorize")
@@ -190,18 +199,13 @@ def rank_scan(x: NormalizedMatrix | np.ndarray, ranks: Iterable[int],
 
 
 def _recommend(entries: list[RankScanEntry]) -> int:
-    # Highest finite score wins, lowest rank on ties; fall back to
-    # infinite scores (perfectly tight clusters) when nothing is finite.
-    best_rank, best_score = None, -math.inf
-    for e in sorted(entries, key=lambda e: e.rank):
-        if math.isfinite(e.ch_score) and e.ch_score > best_score:
-            best_rank, best_score = e.rank, e.ch_score
-    if best_rank is not None:
-        return best_rank
-    for e in sorted(entries, key=lambda e: e.rank):
-        if e.ch_score == math.inf:
-            return e.rank
-    return min(e.rank for e in entries)
+    # Entries ascend by rank. Highest finite score wins, lowest rank on ties;
+    # fall back to infinite scores (perfectly tight clusters) when nothing is
+    # finite, then to the lowest rank.
+    finite = [e for e in entries if math.isfinite(e.ch_score)]
+    if finite:
+        return max(finite, key=lambda e: e.ch_score).rank
+    return next((e.rank for e in entries if e.ch_score == math.inf), entries[0].rank)
 
 
 def _check_coverage(points: np.ndarray, assignment: ClusterAssignment) -> None:

@@ -625,6 +625,30 @@ def test_run_failure_in_period_b_exits_2_after_a(tmp_path, synth_pair, capsys, m
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("zero_a, flags, code, stage", [
+    (False, ["--ranks", "13..14"], 1, "rank selection"),
+    (False, ["--rank-a", "20"], 1, "factorization"),
+    (False, ["--rank-b", "20"], 1, "factorization"),
+    (True, ["--rank-a", "6", "--rank-b", "4"], 2, "comparison"),
+], ids=["ranks", "rank-a", "rank-b", "zero-a"])
+def test_run_failure_names_its_stage(tmp_path, synth_pair, capsys, monkeypatch, zero_a, flags,
+                                     code, stage, path):
+    # Every stage a package error can come from after ingest, on either path.
+    raw_a, raw_b = synth_pair
+    if zero_a:  # every count of A is 0, so A's total is 0
+        header, *rows = raw_a.read_text().splitlines()
+        raw_a = tmp_path / "zero_a.csv"
+        raw_a.write_text("\n".join([header] + [r.rsplit(",", 1)[0] + ",0" for r in rows]) + "\n")
+    take_path(monkeypatch, path)
+    out = tmp_path / "out"
+    assert run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(raw_b), *flags,
+                          "--out", str(out)) == code
+    assert f"pipeline failed during {stage}; outputs under {out} may be partial\n" in (
+        capsys.readouterr().err)
+    assert multiprocessing.active_children() == []
+
+
 @forks_with_threads
 def test_run_failure_in_period_a_stops_the_worker(tmp_path, synth_pair, capsys, monkeypatch):
     _, raw_b = synth_pair

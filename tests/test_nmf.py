@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trafficnmf.errors import InvalidRankError, NonFiniteError, NonNegativityError, ShapeMismatchError
-from trafficnmf.nmf import INIT_NNDSVD, FactorPair, NmfConfig, _random_init, factorize, reconstruction_error
+from trafficnmf.errors import InvalidRankError, NonFiniteError, NonNegativityError
+from trafficnmf.nmf import INIT_NNDSVD, NmfConfig, _random_init, factorize
 from trafficnmf.patterns import cosine_similarity_matrix
 from trafficnmf.synth import SyntheticSpec, generate_period
 
@@ -42,7 +42,7 @@ def test_planted_rank3_relative_error():
     w0, h0 = rng.random((20, 3)), rng.random((12, 3))
     x = w0 @ h0.T
     pair = factorize(x, NmfConfig(rank=3, seed=7, max_iters=500))
-    assert reconstruction_error(x, pair) / np.linalg.norm(x) <= 0.05
+    assert np.linalg.norm(x - pair.reconstruct()) / np.linalg.norm(x) <= 0.05
 
 
 def test_rank_out_of_range():
@@ -76,29 +76,12 @@ def test_config_validation():
         NmfConfig(rank=2, init="magic")
 
 
-def test_reconstruction_error_exact_is_zero():
-    rng = np.random.default_rng(3)
-    w, h = rng.random((6, 2)), rng.random((4, 2))
-    pair = FactorPair(w=w, h=h)
-    assert reconstruction_error(w @ h.T, pair) == 0.0
-
-
-def test_reconstruction_error_identity_vs_zero():
-    pair = FactorPair(w=np.zeros((2, 1)), h=np.zeros((2, 1)))
-    assert reconstruction_error(np.eye(2), pair) == pytest.approx(np.sqrt(2.0), abs=1e-15)
-
-
-def test_reconstruction_error_shape_mismatch():
-    pair = FactorPair(w=np.ones((3, 2)), h=np.ones((4, 2)))
-    with pytest.raises(ShapeMismatchError):
-        reconstruction_error(np.ones((3, 3)), pair)
-
-
 def test_error_equals_last_trace_entry():
     rng = np.random.default_rng(11)
     x = rng.random((15, 8))
     pair = factorize(x, NmfConfig(rank=3, seed=2))
-    assert reconstruction_error(x, pair) == pytest.approx(pair.objective_trace[-1], abs=1e-12)
+    assert np.linalg.norm(x - pair.reconstruct()) == pytest.approx(pair.objective_trace[-1],
+                                                                   abs=1e-12)
 
 
 def test_monotone_nonincreasing_objective():
@@ -151,7 +134,7 @@ def test_rank_one_exactness():
     rng = np.random.default_rng(7)
     x = np.outer(rng.random(15) + 0.1, rng.random(9) + 0.1)
     pair = factorize(x, NmfConfig(rank=1, seed=3))
-    assert reconstruction_error(x, pair) / np.linalg.norm(x) <= 1e-3
+    assert np.linalg.norm(x - pair.reconstruct()) / np.linalg.norm(x) <= 1e-3
 
 
 def test_nndsvd_initialization_converges_and_is_deterministic():
@@ -161,7 +144,7 @@ def test_nndsvd_initialization_converges_and_is_deterministic():
     cfg = NmfConfig(rank=2, seed=0, init=INIT_NNDSVD)
     p1, p2 = factorize(x, cfg), factorize(x, cfg)
     assert np.array_equal(p1.w, p2.w)
-    assert reconstruction_error(x, p1) / np.linalg.norm(x) <= 0.05
+    assert np.linalg.norm(x - p1.reconstruct()) / np.linalg.norm(x) <= 0.05
 
 
 def explicit_residual_mu(x, cfg):

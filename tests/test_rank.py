@@ -1,13 +1,16 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from trafficnmf.errors import DegenerateClusteringError, InvalidRankError
+from trafficnmf import io as tio
+from trafficnmf.errors import DegenerateClusteringError, InvalidRankError, NumericalError
 from trafficnmf.ingest import minmax_normalize
 from trafficnmf.nmf import NmfConfig, factorize
 from trafficnmf.rank import (
     ClusterAssignment,
+    _score,
     assign_clusters,
     between_dispersion,
     calinski_harabasz,
@@ -207,9 +210,8 @@ def test_rank_scan_order_independent():
     x = planted_normalized(3, seed=3)
     cfg = NmfConfig(rank=2, seed=17)
     forward = rank_scan(x, range(2, 7), cfg)
-    backward = rank_scan(x, range(6, 1, -1), cfg)
-    assert sorted(forward.entries, key=lambda e: e.rank) == \
-        sorted(backward.entries, key=lambda e: e.rank)
+    backward = rank_scan(x, [6, 5, 4, 3, 2, 2], cfg)  # listed by rank, once each
+    assert backward.entries == forward.entries
     assert forward.recommended_rank == backward.recommended_rank
 
 
@@ -224,7 +226,37 @@ def test_rank_scan_pairs_are_the_factorize_solves():
         assert np.array_equal(pair.h, solo.h)
         assert pair.objective_trace == solo.objective_trace
         assert pair.iterations_run == solo.iterations_run
-        assert result.entry(r).final_loss == solo.objective_trace[-1]
+        entry, = (e for e in result.entries if e.rank == r)
+        assert entry.final_loss == solo.objective_trace[-1]
+
+
+def test_score_gives_the_scan_of_outcomes_solved_anywhere(tmp_path):
+    # Each rank solved on its own, in reverse order, one of them failing, and
+    # the outcomes pickled as a pipe would carry them: the score is the scan's.
+    x = planted_normalized(3, seed=6)
+    cfg = NmfConfig(rank=2, seed=12)
+    ranks = [2, 3, 4, 5, 13]  # 13 exceeds the 12 hour bins
+    scan = rank_scan(x, ranks, cfg)
+
+    def outcome(rank):
+        try:
+            return factorize(x, cfg.at_rank(rank))
+        except InvalidRankError as e:
+            return e
+
+    outcomes = pickle.loads(pickle.dumps({r: outcome(r) for r in reversed(ranks)}))
+    assert isinstance(outcomes[13], InvalidRankError)
+    scored = _score(outcomes)
+    assert scored.entries == scan.entries
+    assert scored.recommended_rank == scan.recommended_rank
+    assert scored.skipped == scan.skipped == {13: "rank 13 exceeds min matrix dimension 12"}
+    for r, pair in scan.pairs.items():
+        assert np.array_equal(scored.pairs[r].w, pair.w)
+    tio.write_scan_table(tmp_path / "scan.csv", scan)
+    tio.write_scan_table(tmp_path / "scored.csv", scored)
+    assert (tmp_path / "scan.csv").read_bytes() == (tmp_path / "scored.csv").read_bytes()
+    with pytest.raises(NumericalError, match="every candidate rank failed"):
+        _score({13: outcomes[13]})
 
 
 def test_rank_scan_skips_oversize_ranks_only_when_some_fit():
