@@ -33,9 +33,10 @@ from .ingest import (
     CountMatrix,
     HourWindow,
     NormalizedMatrix,
-    build_matrix,
+    RejectionSummary,
+    _accepted_rows,
+    _Aggregate,
     minmax_normalize,
-    parse_records,
 )
 from .nmf import (
     DEFAULT_MATCH_THRESHOLD,
@@ -191,12 +192,14 @@ def _require_input(path_str: str | None, flag: str) -> Path:
 
 
 def _ingest(cfg: PipelineConfig, path: Path, label: str) -> CountMatrix:
-    """Parse and aggregate one period's raw records, and write its count table."""
+    """Parse and aggregate one period's raw records in one pass; write its count table."""
     with tio.read_text(path) as f:
         try:
-            result = parse_records(f, ColumnMapping(), period_label=label)
-            print(f"{path}: {len(result.records)} records parsed, {result.rejections.describe()}")
-            matrix = build_matrix(result.records, cfg.window)
+            cells, rejections = _Aggregate(cfg.window), RejectionSummary()
+            for group in _accepted_rows(f, ColumnMapping(), rejections, cells.codes):
+                cells.add(*group)
+            print(f"{path}: {cells.records} records parsed, {rejections.describe()}")
+            matrix = cells.matrix(label, f)
         except DataError as e:  # these know no file name; read_text's own errors carry it
             sep = ", " if str(e).startswith("line ") else ": "  # "<file>, line N:" as theirs
             raise type(e)(f"{path}{sep}{e}") from None

@@ -13,6 +13,7 @@ import io
 import itertools
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,6 +182,9 @@ def _column_indices(header: list[str] | None, schema: ColumnMapping) -> list[int
 # Blocks stay small because the string columns of one block are alive at
 # once.
 _BLOCK_CHARS = 1 << 16
+# Accepted rows are taken in groups of about this many, so that a period
+# makes few numpy calls while a group's arrays stay small.
+_GROUP_ROWS = 8192
 
 _REASONS = ("malformed", "negative count", "unmappable hour", "coordinates out of range")
 
@@ -202,23 +206,36 @@ def parse_records(
     line (naming the line), and EmptyInputError if no data rows are
     present.
     """
-    schema = schema or ColumnMapping()
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    rejections = RejectionSummary()
-    columns, n_rows, ids = [[] for _ in range(5)], 0, {}
-    for fields, lines, _ in _split_rows(stream, schema.delimiter,
-                                        lambda header: _column_indices(header, schema)):
-        n_rows += len(lines)
-        for column, block in zip(columns, _validate(fields, lines, rejections, ids)):
-            column.append(block)
-    if n_rows == 0:
-        raise EmptyInputError("input has a header but no data rows")
-    # One column at a time, its blocks freed once it is joined.
+    rejections, codes = RejectionSummary(), defaultdict(itertools.count().__next__)
+    columns = list(zip(*_accepted_rows(stream, schema or ColumnMapping(), rejections, codes)))
+    # One column at a time, its groups freed once it is joined. The rows of
+    # one location share one id string.
     locs, lats, lons, hours, counts = (np.concatenate(columns.pop(0)) for _ in range(5))
+    locs = np.array(list(codes), dtype=object)[locs]
     table = RecordTable(location_ids=locs, latitude=lats, longitude=lons, hour=hours,
                         count=counts, period_label=period_label)
     return ParseResult(table, rejections)
+
+
+def _accepted_rows(stream, schema: ColumnMapping, rejections: RejectionSummary, codes):
+    """Yield the accepted rows, as `_validate` returns a block's, in groups of
+    about `_GROUP_ROWS`, adding the rejected ones to `rejections`. Raises
+    EmptyInputError at the end if the input has no data rows."""
+    n_rows, group, rows = 0, [], 0
+    for fields, lines, _ in _split_rows(stream, schema.delimiter,
+                                        lambda header: _column_indices(header, schema)):
+        n_rows += len(lines)
+        group.append(_validate(fields, lines, rejections, codes))
+        rows += len(group[-1][3])
+        if rows >= _GROUP_ROWS:
+            yield [np.concatenate(column) for column in zip(*group)]
+            group, rows = [], 0
+    if n_rows == 0:
+        raise EmptyInputError("input has a header but no data rows")
+    if group:
+        yield [np.concatenate(column) for column in zip(*group)]
 
 
 def _split_rows(stream, delimiter: str, columns, where: str = ""):
@@ -365,11 +382,10 @@ def _integral(values: np.ndarray) -> np.ndarray:
     return np.isfinite(values) & (np.floor(values) == values)
 
 
-def _validate(fields, lines: np.ndarray, rejections: RejectionSummary, ids: dict[str, str]):
+def _validate(fields, lines: np.ndarray, rejections: RejectionSummary, codes: defaultdict):
     """Check one block of rows, add its rejections in row order and return
-    its accepted rows as five arrays, the hours as int64. Each location id
-    is the first string `ids` holds for it, so the rows of one location
-    share one string.
+    its accepted rows as five arrays, the hours as int64 and each location
+    id as its code in `codes`, which gives a new id the next code.
 
     Each row's reason is the first of the checks that fails, in this order:
     location, latitude, longitude or count missing or not a number, or a
@@ -378,7 +394,6 @@ def _validate(fields, lines: np.ndarray, rejections: RejectionSummary, ids: dict
     """
     loc_ids, lat, lon, hour, count = fields
     loc_ids = list(map(str.strip, loc_ids))
-    loc_ids = list(map(ids.setdefault, loc_ids, loc_ids))
     (lat, bad_lat), (lon, bad_lon), (hour, bad_hour), (count, bad_count) = map(
         _floats, (lat, lon, hour, count))
     has_id = np.fromiter(map(bool, loc_ids), bool, len(loc_ids))
@@ -394,8 +409,9 @@ def _validate(fields, lines: np.ndarray, rejections: RejectionSummary, ids: dict
         rejections.add(line, _REASONS[r])
 
     keep = reason < 0
-    return (np.array(loc_ids, dtype=object)[keep], lat[keep], lon[keep],
-            hour[keep].astype(np.int64), count[keep])
+    loc = np.fromiter(map(codes.__getitem__, itertools.compress(loc_ids, keep.tolist())),
+                      np.int64, np.count_nonzero(keep))
+    return loc, lat[keep], lon[keep], hour[keep].astype(np.int64), count[keep]
 
 
 def build_matrix(records: RecordTable, window: HourWindow | None = None) -> CountMatrix:
@@ -405,38 +421,85 @@ def build_matrix(records: RecordTable, window: HourWindow | None = None) -> Coun
     (location, hour) cells with no record are 0. The result is independent
     of the input record order.
     """
-    window = window or HourWindow()
-    keep = (records.hour >= window.start) & (records.hour <= window.end)
-    if not keep.any():
-        raise EmptyInputError("no records inside the hour window")
-    columns = (records.location_ids, records.hour, records.count, records.latitude,
-               records.longitude)
-    loc_ids, hour, count, lat, lon = columns if keep.all() else (c[keep] for c in columns)
+    cells = _Aggregate(window or HourWindow())
+    loc = np.fromiter(map(cells.codes.__getitem__, records.location_ids), np.int64, len(records))
+    cells.add(loc, records.latitude, records.longitude, records.hour, records.count)
+    return cells.matrix(records.period_label)
 
-    # Sorting the distinct ids in Python keeps str ordering exact; numpy's
-    # fixed-width strings would drop trailing NULs.
-    ids = sorted(set(loc_ids))
-    row_of = {loc_id: i for i, loc_id in enumerate(ids)}
-    n_hours = window.end - window.start + 1
-    loc = np.fromiter(map(row_of.__getitem__, loc_ids), np.int64, len(loc_ids))
-    cell = loc * n_hours
-    cell += hour - window.start
-    # Each cell's counts are summed in ascending order, so the sum does not
-    # depend on the input order. Below 2**53 every partial sum of integral
-    # counts is exact, so any order gives those bits.
-    in_order = np.abs(count).sum() < 2**53 and (np.trunc(count) == count).all()
-    order = slice(None) if in_order else np.lexsort((count, cell))
-    values = np.bincount(cell[order], weights=count[order], minlength=len(ids) * n_hours)
-    # A location's coordinates are those of the first of the records in its
-    # first cell, ordered by count, latitude and longitude.
-    filled = np.bincount(cell, minlength=len(ids) * n_hours).reshape(len(ids), n_hours) > 0
-    first_cell = filled.argmax(axis=1) + np.arange(len(ids)) * n_hours
-    candidates = np.flatnonzero(cell == first_cell[loc])
-    order = candidates[np.lexsort(tuple(c[candidates] for c in (lon, lat, count, cell)))]
-    first = order[np.flatnonzero(np.diff(loc[order], prepend=-1))]
-    locations = list(zip(ids, lat[first].tolist(), lon[first].tolist()))
-    return CountMatrix(values.reshape(len(ids), n_hours), locations, window.hours(),
-                       period_label=records.period_label)
+
+class _Aggregate:
+    """Records summed per (location, hour) cell over an hour window, a block at
+    a time, in memory per location; a location's coordinates are its least
+    record's by (hour, count, latitude, longitude), NaN last, first added first."""
+
+    def __init__(self, window: HourWindow) -> None:
+        self.window = window
+        self.records = 0  # records added, inside the window or not
+        self.codes = defaultdict(itertools.count().__next__)  # a new id gets the next code
+        self.sums = np.zeros(0)
+        self.candidate = np.zeros((0, 4))
+
+    def add(self, loc, lat, lon, hour, count) -> None:
+        """Add one block of records, given as columns in `_validate`'s order,
+        each location id as its code in `codes`."""
+        self.records += len(hour)
+        start, n_hours = self.window.start, self.window.end - self.window.start + 1
+        keep = (hour >= start) & (hour <= self.window.end)
+        if not keep.all():
+            loc, lat, lon, hour, count = (c[keep] for c in (loc, lat, lon, hour, count))
+        if grow := len(self.codes) - len(self.candidate):
+            self.sums = np.concatenate((self.sums, np.zeros(grow * n_hours)))
+            self.candidate = np.concatenate((self.candidate, np.full((grow, 4), 24.0)))
+
+        cell = loc * n_hours
+        cell += hour - start
+        # Below 2**53 every partial sum of integral counts is exact, so any
+        # order gives the same bits; else each cell is summed in ascending
+        # order, so that a table added as one block sums alike in any order.
+        in_order = np.abs(count).sum() < 2**53 and (np.trunc(count) == count).all()
+        order = slice(None) if in_order else np.lexsort((count, cell))
+        np.add.at(self.sums, cell[order], count[order])
+
+        # The candidates that compete: the records at their location's lowest
+        # hour so far, after the held candidates at that hour. Key by key,
+        # each location keeps those at the least value; the first left wins.
+        lowest = self.candidate[:, 0].copy()
+        np.minimum.at(lowest, loc, hour)
+        rows = np.flatnonzero(hour == lowest[loc])
+        held = np.flatnonzero((np.bincount(loc[rows], minlength=len(lowest)) > 0)
+                              & (self.candidate[:, 0] == lowest))
+        code = np.concatenate((held, loc[rows]))
+        keys = np.concatenate((self.candidate[held],
+                               np.column_stack([c[rows] for c in (hour, count, lat, lon)])))
+        for k in (1, 2, 3):
+            least = np.full(len(lowest), np.nan)
+            np.fmin.at(least, code, keys[:, k])
+            left = (keys[:, k] == least[code]) | np.isnan(least[code])
+            code, keys = code[left], keys[left]
+        first = np.unique(code, return_index=True)[1]
+        self.candidate[code[first]] = keys[first]
+
+    def matrix(self, period_label: str, stream=None) -> CountMatrix:
+        """The count matrix of the locations with a record inside the window,
+        rows sorted by id; EmptyInputError if there are none. Integral,
+        nonnegative counts sum exactly in any blocks only below 2**53: if a
+        cell reached it, `stream`, whose raw records were added, is read
+        again from its start and summed by build_matrix."""
+        if stream is not None and not (self.sums < 2**53).all():
+            if not stream.seekable():
+                raise DataError("a cell's sum reaches 2**53, and a pipe cannot be read twice")
+            stream.seek(0)
+            return build_matrix(parse_records(stream, period_label=period_label).records,
+                                self.window)
+        ids = list(self.codes)
+        # Sorting the ids in Python keeps str ordering exact; numpy's
+        # fixed-width strings would drop trailing NULs.
+        rows = sorted(np.flatnonzero(self.candidate[:, 0] < 24).tolist(), key=ids.__getitem__)
+        if not rows:
+            raise EmptyInputError("no records inside the hour window")
+        locations = list(zip(map(ids.__getitem__, rows), *self.candidate[rows, 2:].T.tolist()))
+        return CountMatrix(self.sums.reshape(len(self.candidate), -1)[rows], locations,
+                           self.window.hours(), period_label=period_label)
 
 
 def minmax_normalize(m: CountMatrix) -> NormalizedMatrix:

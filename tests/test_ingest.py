@@ -1,17 +1,24 @@
+import contextlib
 import csv
 import io
 import itertools
+import os
 import random
+import tempfile
+import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trafficnmf import ingest
+from trafficnmf import io as tio
+from trafficnmf.cli import main
 from trafficnmf.errors import DataError, EmptyInputError, MissingColumnError
 from trafficnmf.ingest import (
     ColumnMapping,
@@ -209,9 +216,9 @@ def dft_shaped_file(n_locations=1000):
 def test_parse_and_aggregate_hold_memory_per_location_not_per_row(monkeypatch):
     """The parsed table keeps five 8-byte columns and one id string per
     location, about 43 bytes per row (97 with one string per row); the
-    parse peaks at about 58 bytes per row (97 with every block alive while
-    all columns are joined); and build_matrix's peak is about 33 bytes per
-    row (83 with a sorted copy of each column). The bounds sit 30-40% above
+    parse peaks at about 60 bytes per row (97 with every block alive while
+    all columns are joined); and build_matrix's peak is about 37 bytes per
+    row (83 with a sorted copy of each column). The bounds sit 25-40% above
     those values."""
     # Small blocks, so that joining the columns, not one block's strings,
     # sets the parse peak.
@@ -232,6 +239,132 @@ def test_parse_and_aggregate_hold_memory_per_location_not_per_row(monkeypatch):
     assert retained / n_rows < 60
     assert parse_peak / n_rows < 75
     assert peak / n_rows < 46
+
+
+def cli_ingest(path, out, hours="7..18"):
+    """`trafficnmf ingest` of one raw file, in-process: exit code, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["ingest", "--input-a", str(path), "--hours", hours, "--out", str(out)])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def library_ingest(path, out, window):
+    """What `cli_ingest(path, out)` must give, from build_matrix(parse_records(...)):
+    the exit code, stdout and stderr, and the count matrix (None on an error)."""
+    tally = ""
+    try:
+        with tio.read_text(path) as f:
+            result = parse_records(f)
+            tally = (f"{path}: {len(result.records)} records parsed, "
+                     f"{result.rejections.describe()}\n")
+            m = build_matrix(result.records, window)
+    except DataError as e:
+        sep = ", " if str(e).startswith("line ") else ": "
+        return (2, tally, f"error: {path}{sep}{e}\n"), None
+    lines = f"A: {m.shape[0]} locations x {m.shape[1]} hour bins\nwrote {out / 'counts_A.csv'}\n"
+    return (0, tally + lines, ""), m
+
+
+# Rows for the streamed ingest: a few ids, exactly tied coordinates
+# (signed zeros included), every hour, and a bad value of each rejection
+# reason in some column.
+_CLI_ROW = st.tuples(
+    st.sampled_from(["L1", "L2", "L10", " L1 ", ""]),
+    st.sampled_from(["51.5", "0", "-0", "91"]),
+    st.sampled_from(["-0.1", "0", "-0", "-0.1"]),
+    st.sampled_from([*map(str, range(24)), "24"]),
+    st.sampled_from(["0", "1", "7", "300", "-3", "2.5"]),
+).map(",".join)
+
+
+@settings(max_examples=150, deadline=None)
+# A location's first record in the window, and an exact tie of its
+# coordinates, lie in later blocks and groups than its other records.
+@example(rows=["L1,10.5,-9.5,12,1", "L2,20.5,-2.5,9,5", "L1,30.5,-3.5,8,4", "L2,10.5,-3.5,9,5",
+               "L2,10.5,-3.25,9,5", "L1,40.5,-4.5,8,3", "L2,10.5,-3.5,9,5"],
+         quoted_at=50, line_end="\n", hours="7..18", block_chars=1, group_rows=1)
+@given(rows=st.lists(_CLI_ROW, min_size=8, max_size=40), quoted_at=st.integers(0, 50),
+       line_end=st.sampled_from(["\n", "\r\n"]), hours=st.sampled_from(["7..18", "0..23", "9..9"]),
+       block_chars=st.sampled_from([1, 40]), group_rows=st.sampled_from([1, 3, 8192]))
+def test_cli_ingest_equals_build_matrix_of_parse_records(rows, quoted_at, line_end, hours,
+                                                         block_chars, group_rows):
+    """Streamed over at least 3 blocks and, with small groups, summed and
+    merged group by group, the CLI's ingest prints the tallies and writes the
+    count table that build_matrix(parse_records(...)) gives. A quoted id from
+    `quoted_at` on moves the rest of the file onto the csv path."""
+    rows = list(rows)
+    if quoted_at < len(rows):
+        loc_id, rest = rows[quoted_at].split(",", 1)
+        rows[quoted_at] = f'"{loc_id}",{rest}'
+    text = line_end.join([HEADER, *rows, ""])
+    assert len(text) > 3 * block_chars
+    window = HourWindow(*map(int, hours.split("..")))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "raw.csv"
+        path.write_bytes(text.encode("ascii"))
+        want, m = library_ingest(path, tmp / "out", window)
+        with (mock.patch.object(ingest, "_BLOCK_CHARS", block_chars),
+              mock.patch.object(ingest, "_GROUP_ROWS", group_rows)):
+            assert cli_ingest(path, tmp / "out", hours) == want
+        if m is not None:
+            tio.write_count_matrix(tmp / "want.csv", m)
+            assert (tmp / "out" / "counts_A.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+def test_cli_ingest_sums_a_cell_past_2_53_across_blocks_in_ascending_order(tmp_path):
+    """Counts 2**53, 1 and 1 of one cell, each in its own block and group:
+    whatever their order, the count table holds 2**53 + 2, as build_matrix
+    sums them."""
+    for k, counts in enumerate(itertools.permutations([2**53, 1, 1])):
+        path = tmp_path / f"raw{k}.csv"
+        path.write_text(HEADER + "".join(f"\nL1,51.0,-0.1,7,{c}" for c in counts) + "\n")
+        with (mock.patch.object(ingest, "_BLOCK_CHARS", 1),
+              mock.patch.object(ingest, "_GROUP_ROWS", 1)):
+            code, out, _ = cli_ingest(path, tmp_path / str(k))
+        assert (code, out.splitlines()[0]) == (0, f"{path}: 3 records parsed, 0 rows rejected")
+        row = (tmp_path / str(k) / "counts_A.csv").read_text().splitlines()[1]
+        assert float(row.split(",")[3]) == 2**53 + 2, counts
+
+
+def test_cli_ingest_of_a_pipe_whose_cell_reaches_2_53_exits_2(tmp_path):
+    """Such a cell is summed by reading the file again, which a pipe cannot be."""
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    text = HEADER + "".join(f"\nL1,51.0,-0.1,7,{c}" for c in (2**53, 1, 1)) + "\n"
+    writer = threading.Thread(target=path.write_text, args=(text,))
+    writer.start()
+    try:
+        with (mock.patch.object(ingest, "_BLOCK_CHARS", 1),
+              mock.patch.object(ingest, "_GROUP_ROWS", 1)):
+            code, out, err = cli_ingest(path, tmp_path / "out")
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert (code, out) == (2, f"{path}: 3 records parsed, 0 rows rejected\n")
+    assert err == f"error: {path}: a cell's sum reaches 2**53, and a pipe cannot be read twice\n"
+
+
+def test_cli_ingest_peak_does_not_grow_with_rows_per_location(tmp_path):
+    """Twice the rows at the same 1000 locations raise the traced peak of a
+    CLI ingest by under 10%: only the blocks in flight hold rows."""
+    peaks = []
+    for directions in ("NS", "NSEW"):
+        rng = random.Random(0)
+        rows = [f"CP{i:06d},{51 + i / 1e4!r},{-1 - i / 1e4!r},{hour},{rng.randrange(2000)}"
+                for i in range(1000) for hour in range(7, 19) for _ in directions]
+        rng.shuffle(rows)
+        path = tmp_path / f"raw_{directions}.csv"
+        path.write_text("\n".join([HEADER, *rows, ""]))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert cli_ingest(path, tmp_path / directions)[0] == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_minmax_column_formula():

@@ -65,6 +65,10 @@ CASES = [
     ("run-dft-fixed", ["run", "--input-a", "inputs/dft/dft_A.csv",
                        "--input-b", "inputs/dft/dft_B.csv", "--rank-a", "6", "--rank-b", "4"],
      False),
+    ("run-quoted-a", ["run", "--input-a", "inputs/quoted_A.csv", "--input-b",
+                      "inputs/synth800/synth_B.csv", "--rank-a", "6", "--rank-b", "4"], False),
+    ("ingest-dft-all-hours", ["ingest", "--input-a", "inputs/dft/dft_A.csv",
+                              "--input-b", "inputs/dft/dft_B.csv", "--hours", "0..23"], False),
     ("ingest", ["ingest", "--input-a", "inputs/synth800/synth_A.csv",
                 "--input-b", "inputs/synth800/synth_B.csv"], False),
     ("rank-scan", ["rank-scan", "--input-a", "inputs/counts_A.csv", "--ranks", "2..10"], False),
@@ -85,7 +89,8 @@ def _checked(proc: subprocess.CompletedProcess) -> None:
 
 
 def make_inputs(src: Path, root: Path) -> None:
-    """The synthetic pairs, the DfT-shaped pair, and the inputs of the failure cases."""
+    """The synthetic pairs, the DfT-shaped pair, and the inputs of the failure
+    and csv-path cases."""
     inputs = root / "inputs"
     for n in (800, 3164):
         _checked(_program(src, root, [
@@ -97,6 +102,10 @@ def make_inputs(src: Path, root: Path) -> None:
     (inputs / "header_only.csv").write_text(header + "\n", encoding="utf-8")
     zero = [header] + [row.rsplit(",", 1)[0] + ",0" for row in rows]
     (inputs / "zero_A.csv").write_text("\n".join(zero) + "\n", encoding="utf-8")
+    # One quoted id in the first row sends the whole file through csv.
+    loc_id, rest = rows[0].split(",", 1)
+    quoted = [header, f'"{loc_id}",{rest}', *rows[1:]]
+    (inputs / "quoted_A.csv").write_text("\n".join(quoted) + "\n", encoding="utf-8")
 
     sys.dont_write_bytecode = True  # leave no __pycache__ in either tree
     sys.path[:0] = [str(src), str(REPO / "perfbench")]
