@@ -191,6 +191,14 @@ def _require_input(path_str: str | None, flag: str) -> Path:
     return path
 
 
+def _make_out(out: Path) -> None:
+    """Make the output directory and its parents; ConfigError if that fails."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # e.g. --out, or a directory above it, is a file
+        raise ConfigError(f"--out {out} cannot be made a directory: {e.strerror}") from None
+
+
 def _ingest(cfg: PipelineConfig, path: Path, label: str) -> CountMatrix:
     """Parse and aggregate one period's raw records in one pass; write its count table."""
     with tio.read_text(path) as f:
@@ -199,7 +207,7 @@ def _ingest(cfg: PipelineConfig, path: Path, label: str) -> CountMatrix:
             for group in _accepted_rows(f, ColumnMapping(), rejections, cells.codes):
                 cells.add(*group)
             print(f"{path}: {cells.records} records parsed, {rejections.describe()}")
-            matrix = cells.matrix(label, f)
+            matrix = cells.matrix(label)
         except DataError as e:  # these know no file name; read_text's own errors carry it
             sep = ", " if str(e).startswith("line ") else ": "  # "<file>, line N:" as theirs
             raise type(e)(f"{path}{sep}{e}") from None
@@ -291,7 +299,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if cfg.input_b is not None:
         _check_labels(cfg)
         inputs.append((cfg.input_b, cfg.label_b, "--input-b"))
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    _make_out(cfg.out)
     for path_str, label, flag in inputs:
         _ingest(cfg, _require_input(path_str, flag), label)
         print(f"wrote {_out_file(cfg.out, 'counts_{}.csv', label)}")
@@ -300,7 +308,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_rank_scan(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    _make_out(cfg.out)
     x = _prepare(cfg, _require_input(cfg.input_a, "--input-a"), cfg.label_a, raw=False)
     result, out_path = _scan(cfg, x, cfg.label_a)
     print(f"wrote {out_path}")
@@ -310,7 +318,7 @@ def cmd_rank_scan(args: argparse.Namespace) -> int:
 
 def cmd_factorize(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    _make_out(cfg.out)
     path = _require_input(cfg.input_a, "--input-a")
     if cfg.rank_a is None:
         raise ConfigError("--rank-a is required for factorize")
@@ -405,7 +413,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     cfg = _resolve(args)
     _check_labels(cfg)
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    _make_out(cfg.out)
     stage = "ingest"
     worker = conn = None
     try:
@@ -488,7 +496,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             "rank_b": spec.planted_rank - cfg.pair_drop,
         }
 
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    _make_out(cfg.out)
     manifest["periods"] = {}
     for period in periods:
         label = period.period_label

@@ -22,7 +22,7 @@ class NumericalError(TrafficNmfError):
 
 
 class MissingInputError(DataError):
-    """An input file does not exist."""
+    """An input file does not exist or cannot be opened."""
 
 
 class MissingColumnError(DataError):

@@ -71,11 +71,10 @@ class TrafficRecord:
 
 @dataclass(frozen=True)
 class RecordTable:
-    """Count observations of one period held as columns, one entry per record.
-
-    Counts are stored as float64: every accepted count is an integral
-    float, so the column holds it exactly.
-    """
+    """Valid count observations of one period held as columns, one entry per
+    record. DataError names the first record that fails a check of
+    `parse_records` or whose id is not a nonblank str. Counts are float64,
+    exact for every valid count; hours are int64, so hour 7.0 is hour 7."""
 
     location_ids: np.ndarray
     latitude: np.ndarray
@@ -83,6 +82,23 @@ class RecordTable:
     hour: np.ndarray
     count: np.ndarray
     period_label: str
+
+    def __post_init__(self) -> None:
+        ids = np.asarray(self.location_ids, dtype=object)
+        lat, lon, count = (np.asarray(c, dtype=float)
+                           for c in (self.latitude, self.longitude, self.count))
+        hour = np.asarray(self.hour)
+        hour = hour if hour.dtype == np.int64 else hour.astype(float)
+        if len({len(c) for c in (ids, lat, lon, hour, count)}) > 1:
+            raise DataError("the columns of a record table differ in length")
+        blank = np.fromiter((not (isinstance(i, str) and i.strip()) for i in ids), bool, len(ids))
+        reason = _reasons(lat, lon, hour, count, blank)
+        if (reason >= 0).any():
+            i = np.flatnonzero(reason >= 0)[0]
+            raise DataError(f"record at index {i} (location {ids[i]!r}): {_REASONS[reason[i]]}")
+        for name, column in (("location_ids", ids), ("latitude", lat), ("longitude", lon),
+                             ("hour", hour.astype(np.int64, copy=False)), ("count", count)):
+            object.__setattr__(self, name, column)  # the dataclass is frozen
 
     def __len__(self) -> int:
         return len(self.location_ids)
@@ -214,9 +230,7 @@ def parse_records(
     # one location share one id string.
     locs, lats, lons, hours, counts = (np.concatenate(columns.pop(0)) for _ in range(5))
     locs = np.array(list(codes), dtype=object)[locs]
-    table = RecordTable(location_ids=locs, latitude=lats, longitude=lons, hour=hours,
-                        count=counts, period_label=period_label)
-    return ParseResult(table, rejections)
+    return ParseResult(RecordTable(locs, lats, lons, hours, counts, period_label), rejections)
 
 
 def _accepted_rows(stream, schema: ColumnMapping, rejections: RejectionSummary, codes):
@@ -382,28 +396,32 @@ def _integral(values: np.ndarray) -> np.ndarray:
     return np.isfinite(values) & (np.floor(values) == values)
 
 
+def _reasons(lat, lon, hour, count, malformed: np.ndarray) -> np.ndarray:
+    """Each row's index into `_REASONS` of the first check it fails, or -1:
+    flagged in `malformed` or a count not integral; a negative count; an
+    hour not an integer in 0..23; coordinates out of range. NaN fails each."""
+    reason = np.full(len(count), -1, np.int8)
+    # Later assignments take precedence, so the checks run here in reverse.
+    reason[~_in_range(lat, lon)] = 3
+    reason[~(_integral(hour) & (0 <= hour) & (hour <= 23))] = 2
+    reason[count < 0] = 1
+    reason[malformed | ~_integral(count)] = 0
+    return reason
+
+
 def _validate(fields, lines: np.ndarray, rejections: RejectionSummary, codes: defaultdict):
     """Check one block of rows, add its rejections in row order and return
     its accepted rows as five arrays, the hours as int64 and each location
     id as its code in `codes`, which gives a new id the next code.
 
-    Each row's reason is the first of the checks that fails, in this order:
-    location, latitude, longitude or count missing or not a number, or a
-    count that is not integral (malformed); a negative count; an hour that
-    is not a number or not an integer in 0..23; coordinates out of range.
+    `_reasons` gives each row's reason, an empty location or a latitude or
+    longitude that is not a number being malformed.
     """
     loc_ids, lat, lon, hour, count = fields
     loc_ids = list(map(str.strip, loc_ids))
-    (lat, bad_lat), (lon, bad_lon), (hour, bad_hour), (count, bad_count) = map(
-        _floats, (lat, lon, hour, count))
+    (lat, bad_lat), (lon, bad_lon), (hour, _), (count, _) = map(_floats, (lat, lon, hour, count))
     has_id = np.fromiter(map(bool, loc_ids), bool, len(loc_ids))
-
-    reason = np.full(len(loc_ids), -1)
-    # Later assignments take precedence, so the checks run here in reverse.
-    reason[~_in_range(lat, lon)] = 3
-    reason[bad_hour | ~(_integral(hour) & (0 <= hour) & (hour <= 23))] = 2
-    reason[count < 0] = 1
-    reason[bad_lat | bad_lon | bad_count | ~has_id | ~_integral(count)] = 0
+    reason = _reasons(lat, lon, hour, count, bad_lat | bad_lon | ~has_id)
     rejected = np.flatnonzero(reason >= 0)
     for line, r in zip(lines[rejected].tolist(), reason[rejected].tolist()):
         rejections.add(line, _REASONS[r])
@@ -415,11 +433,11 @@ def _validate(fields, lines: np.ndarray, rejections: RejectionSummary, codes: de
 
 
 def build_matrix(records: RecordTable, window: HourWindow | None = None) -> CountMatrix:
-    """Sum parsed records into a location-by-hour count matrix over the given window.
+    """Sum a record table into a location-by-hour count matrix over the given window.
 
     Entry (i, j) is the cumulative count for location i at hour bin j;
-    (location, hour) cells with no record are 0. The result is independent
-    of the input record order.
+    (location, hour) cells with no record are 0. Sums are exact, whatever
+    the record order; a cell that reaches 2**53 is a DataError.
     """
     cells = _Aggregate(window or HourWindow())
     loc = np.fromiter(map(cells.codes.__getitem__, records.location_ids), np.int64, len(records))
@@ -428,9 +446,10 @@ def build_matrix(records: RecordTable, window: HourWindow | None = None) -> Coun
 
 
 class _Aggregate:
-    """Records summed per (location, hour) cell over an hour window, a block at
-    a time, in memory per location; a location's coordinates are its least
-    record's by (hour, count, latitude, longitude), NaN last, first added first."""
+    """Valid records summed per (location, hour) cell over an hour window in
+    record order, a block at a time, in memory per location; a location's
+    coordinates are its least record's by (hour, count, latitude, longitude),
+    first added first."""
 
     def __init__(self, window: HourWindow) -> None:
         self.window = window
@@ -440,8 +459,8 @@ class _Aggregate:
         self.candidate = np.zeros((0, 4))
 
     def add(self, loc, lat, lon, hour, count) -> None:
-        """Add one block of records, given as columns in `_validate`'s order,
-        each location id as its code in `codes`."""
+        """Add one block of valid records, given as columns in `_validate`'s
+        order, each location id as its code in `codes`."""
         self.records += len(hour)
         start, n_hours = self.window.start, self.window.end - self.window.start + 1
         keep = (hour >= start) & (hour <= self.window.end)
@@ -453,12 +472,8 @@ class _Aggregate:
 
         cell = loc * n_hours
         cell += hour - start
-        # Below 2**53 every partial sum of integral counts is exact, so any
-        # order gives the same bits; else each cell is summed in ascending
-        # order, so that a table added as one block sums alike in any order.
-        in_order = np.abs(count).sum() < 2**53 and (np.trunc(count) == count).all()
-        order = slice(None) if in_order else np.lexsort((count, cell))
-        np.add.at(self.sums, cell[order], count[order])
+        # Whole, nonnegative counts: each partial sum is exact below 2**53.
+        np.add.at(self.sums, cell, count)
 
         # The candidates that compete: the records at their location's lowest
         # hour so far, after the held candidates at that hour. Key by key,
@@ -472,34 +487,31 @@ class _Aggregate:
         keys = np.concatenate((self.candidate[held],
                                np.column_stack([c[rows] for c in (hour, count, lat, lon)])))
         for k in (1, 2, 3):
-            least = np.full(len(lowest), np.nan)
-            np.fmin.at(least, code, keys[:, k])
-            left = (keys[:, k] == least[code]) | np.isnan(least[code])
+            least = np.full(len(lowest), np.inf)
+            np.minimum.at(least, code, keys[:, k])
+            left = keys[:, k] == least[code]
             code, keys = code[left], keys[left]
         first = np.unique(code, return_index=True)[1]
         self.candidate[code[first]] = keys[first]
 
-    def matrix(self, period_label: str, stream=None) -> CountMatrix:
+    def matrix(self, period_label: str) -> CountMatrix:
         """The count matrix of the locations with a record inside the window,
-        rows sorted by id; EmptyInputError if there are none. Integral,
-        nonnegative counts sum exactly in any blocks only below 2**53: if a
-        cell reached it, `stream`, whose raw records were added, is read
-        again from its start and summed by build_matrix."""
-        if stream is not None and not (self.sums < 2**53).all():
-            if not stream.seekable():
-                raise DataError("a cell's sum reaches 2**53, and a pipe cannot be read twice")
-            stream.seek(0)
-            return build_matrix(parse_records(stream, period_label=period_label).records,
-                                self.window)
+        rows sorted by id. EmptyInputError if there are none; DataError,
+        naming the location and hour, if a cell's sum reaches 2**53, past
+        which float64 no longer holds every whole number."""
         ids = list(self.codes)
         # Sorting the ids in Python keeps str ordering exact; numpy's
         # fixed-width strings would drop trailing NULs.
         rows = sorted(np.flatnonzero(self.candidate[:, 0] < 24).tolist(), key=ids.__getitem__)
         if not rows:
             raise EmptyInputError("no records inside the hour window")
+        values = self.sums.reshape(len(self.candidate), -1)[rows]
+        if len(big := np.argwhere(values >= 2**53)):
+            i, j = big[0]
+            raise DataError(f"location {ids[rows[i]]!r}, hour {self.window.start + j}: the "
+                            f"counts sum to 2**53 or more, too large to sum exactly in float64")
         locations = list(zip(map(ids.__getitem__, rows), *self.candidate[rows, 2:].T.tolist()))
-        return CountMatrix(self.sums.reshape(len(self.candidate), -1)[rows], locations,
-                           self.window.hours(), period_label=period_label)
+        return CountMatrix(values, locations, self.window.hours(), period_label=period_label)
 
 
 def minmax_normalize(m: CountMatrix) -> NormalizedMatrix:

@@ -81,9 +81,14 @@ def read_text(path: Path) -> Iterator[TextIO]:
     One byte that is not UTF-8, anywhere in the file, rejects the whole
     file: DataError naming the file and the physical line of the first such
     byte. That line is found only on this error path, by decoding the file
-    again from its bytes.
+    again from its bytes. A file that cannot be opened, such as a directory,
+    is a MissingInputError naming it.
     """
-    with path.open("r", newline="", encoding="utf-8") as f:
+    try:
+        f = path.open("r", newline="", encoding="utf-8")
+    except OSError as e:
+        raise MissingInputError(f"{path} cannot be read: {e.strerror}") from None
+    with f:
         try:
             yield f
         except UnicodeDecodeError:
@@ -117,8 +122,6 @@ def read_count_matrix(path: Path | str, period_label: str | None = None) -> Coun
     infinite counts are left for the solver to reject.
     """
     path = Path(path)
-    if not path.exists():
-        raise MissingInputError(f"no such file: {path}")
     hours: list[int] = []
 
     def columns(header: list[str] | None) -> list[int]:

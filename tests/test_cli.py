@@ -43,6 +43,33 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ingest", "rank-scan"])
+def test_input_that_is_a_directory_exits_2_naming_it(tmp_path, capsys, command):
+    # Raw records and count tables alike.
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    assert run_cli(command, "--input-a", str(adir), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: {adir} cannot be read: Is a directory\n"
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+@pytest.mark.parametrize("command", ["ingest", "rank-scan", "factorize", "run", "synth"])
+def test_out_that_cannot_be_a_directory_exits_1(tmp_path, synth_pair, capsys, command, below):
+    raw_a, raw_b = synth_pair
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "out" if below else blocker
+    inputs = {"ingest": ["--input-a", str(raw_a)], "synth": [],
+              "rank-scan": ["--input-a", str(write_count_table(tmp_path / "t.csv", [[1, 2]]))],
+              "factorize": ["--input-a", str(tmp_path / "t.csv"), "--rank-a", "1"],
+              "run": ["--input-a", str(raw_a), "--input-b", str(raw_b)]}[command]
+    capsys.readouterr()
+    assert run_cli(command, *inputs, "--out", str(out)) == 1
+    reason = "Not a directory" if below else "File exists"
+    assert capsys.readouterr().err == f"error: --out {out} cannot be made a directory: {reason}\n"
+    assert blocker.read_text() == "kept\n"
+
+
 def test_usage_error_exits_1(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         run_cli("ingest", "--no-such-flag")
@@ -663,12 +690,34 @@ def test_run_failure_in_period_a_stops_the_worker(tmp_path, synth_pair, capsys, 
 
 
 @pytest.mark.parametrize("path", PATHS)
-def test_run_unexpected_error_in_period_b_propagates(tmp_path, synth_pair, capsys, monkeypatch,
-                                                     path):
+def test_run_with_a_directory_as_input_b_exits_2_naming_it(tmp_path, synth_pair, capsys,
+                                                          monkeypatch, path):
     raw_a, _ = synth_pair
     take_path(monkeypatch, path)
-    with pytest.raises(IsADirectoryError):
-        run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(tmp_path),
+    out = tmp_path / "out"
+    assert run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(tmp_path),
+                          "--rank-a", "6", "--rank-b", "4", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"pipeline failed during ingest; outputs under {out} may be partial\n"
+        f"error: {tmp_path} cannot be read: Is a directory\n")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_run_unexpected_error_in_period_b_propagates(tmp_path, synth_pair, capsys, monkeypatch,
+                                                     path):
+    raw_a, raw_b = synth_pair
+    take_path(monkeypatch, path)
+    ingest = cli._ingest
+
+    def broken(cfg, file, label):  # a bug in period B's ingest
+        if label == "B":
+            raise ZeroDivisionError("a bug")
+        return ingest(cfg, file, label)
+
+    monkeypatch.setattr(cli, "_ingest", broken)
+    with pytest.raises(ZeroDivisionError):
+        run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(raw_b),
                        "--rank-a", "6", "--rank-b", "4", "--out", str(tmp_path / "out"))
     if path == "fork":  # the worker's traceback is kept
         assert "Traceback" in capsys.readouterr().err

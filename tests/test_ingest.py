@@ -23,6 +23,7 @@ from trafficnmf.errors import DataError, EmptyInputError, MissingColumnError
 from trafficnmf.ingest import (
     ColumnMapping,
     HourWindow,
+    RecordTable,
     RejectionSummary,
     TrafficRecord,
     build_matrix,
@@ -169,14 +170,88 @@ def test_build_matrix_conservation_and_permutation_invariance():
         assert m.hours == m2.hours
 
 
-def test_build_matrix_sums_a_cell_past_2_53_in_ascending_order():
-    """Summed in record order, 2**53 + 1 + 1 rounds to 2**53 twice; summed
-    in ascending order it is exact, whatever order the records came in."""
+@pytest.mark.parametrize("column, value, reason", [
+    ("location_ids", "", "malformed"),
+    ("location_ids", " ", "malformed"),
+    ("location_ids", 3, "malformed"),
+    ("count", np.nan, "malformed"),
+    ("count", 2.5, "malformed"),
+    ("count", -5, "negative count"),
+    ("hour", 24, "unmappable hour"),
+    ("hour", 7.5, "unmappable hour"),
+    ("hour", np.nan, "unmappable hour"),
+    ("latitude", 999, "coordinates out of range"),
+    ("longitude", np.nan, "coordinates out of range"),
+])
+def test_record_table_rejects_an_invalid_record(column, value, reason):
+    columns = {"location_ids": ["L1", "L2", "L3"], "latitude": [51.0, 52.0, 53.0],
+               "longitude": [-0.1, -0.2, -0.3], "hour": [7, 8, 9], "count": [1, 2, 3]}
+    columns[column][1] = value
+    with pytest.raises(DataError) as excinfo:
+        RecordTable(**columns, period_label="A")
+    assert str(excinfo.value) == (
+        f"record at index 1 (location {columns['location_ids'][1]!r}): {reason}")
+
+
+def test_record_table_reports_its_first_invalid_record_and_unequal_columns():
+    with pytest.raises(DataError, match=r"^record at index 0 \(location 'L1'\): negative count$"):
+        RecordTable(["L1", "L2"], [999, 51], [0, 0], [7, 7], [-5, 3], "A")
+    with pytest.raises(DataError, match="differ in length"):
+        RecordTable(["L1", "L2"], [51, 51], [0, 0], [7, 7], [3], "A")
+
+
+def test_record_table_takes_an_integral_float_hour_as_the_int_hour():
+    columns = (["L1", "L2"], [51.0, 52.0], [0.0, 0.0])
+    t = RecordTable(*columns, np.array([7.0, 8.0]), [1, 2], "A")
+    assert t.hour.dtype == np.int64 and t.hour.tolist() == [7, 8]
+    want = build_matrix(RecordTable(*columns, [7, 8], [1, 2], "A"))
+    assert np.array_equal(build_matrix(t).values, want.values)
+
+
+_CELL_2_53 = ("location 'L1', hour 7: the counts sum to 2**53 or more, "
+              "too large to sum exactly in float64")
+
+
+def test_a_cell_that_reaches_2_53_is_a_data_error(tmp_path):
+    """Summed in record order, 2**53 + 1 + 1 rounds to 2**53 twice. In every
+    order, such a cell is a DataError from build_matrix, and from the CLI,
+    whose blocks and groups hold one row each, on a file and on a pipe,
+    which it reads once. A cell that sums to 2**53 - 1 stays exact."""
+    def table(counts):
+        return HEADER + "".join(f"\nL1,51.0,-0.1,7,{c}" for c in counts) + "\n"
+
     assert float(2**53) + 1 + 1 == 2**53
-    for counts in itertools.permutations([2**53, 1, 1]):
-        text = "".join(f"\nL1,51.0,-0.1,7,{c}" for c in counts)
-        m = build_matrix(parse_records(HEADER + text + "\n").records)
-        assert m.values[0, 0] == 2**53 + 2, counts
+    for k, counts in enumerate(itertools.permutations([2**53, 1, 1])):
+        with pytest.raises(DataError) as excinfo:
+            build_matrix(parse_records(table(counts)).records)
+        assert str(excinfo.value) == _CELL_2_53, counts
+        exact = [2**53 - 3 if c == 2**53 else c for c in counts]
+        assert build_matrix(parse_records(table(exact)).records).values[0, 0] == 2**53 - 1
+        for name, text, code in (("big", table(counts), 2), ("exact", table(exact), 0)):
+            path = tmp_path / f"{name}{k}.csv"
+            path.write_text(text)
+            with (mock.patch.object(ingest, "_BLOCK_CHARS", 1),
+                  mock.patch.object(ingest, "_GROUP_ROWS", 1)):
+                got = cli_ingest(path, tmp_path / "out")
+            tally = f"{path}: 3 records parsed, 0 rows rejected\n"
+            if code:
+                assert got == (2, tally, f"error: {path}: {_CELL_2_53}\n"), counts
+            else:
+                assert got[0] == 0 and got[1].startswith(tally), counts
+                row = (tmp_path / "out" / "counts_A.csv").read_text().splitlines()[1]
+                assert float(row.split(",")[3]) == 2**53 - 1
+
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(table([2**53, 1, 1]),), daemon=True)
+    writer.start()
+    try:
+        got = cli_ingest(path, tmp_path / "out")
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert got == (2, f"{path}: 3 records parsed, 0 rows rejected\n",
+                   f"error: {path}: {_CELL_2_53}\n")
 
 
 def test_build_matrix_takes_coordinates_from_the_first_record_of_the_first_cell():
@@ -311,39 +386,6 @@ def test_cli_ingest_equals_build_matrix_of_parse_records(rows, quoted_at, line_e
         if m is not None:
             tio.write_count_matrix(tmp / "want.csv", m)
             assert (tmp / "out" / "counts_A.csv").read_bytes() == (tmp / "want.csv").read_bytes()
-
-
-def test_cli_ingest_sums_a_cell_past_2_53_across_blocks_in_ascending_order(tmp_path):
-    """Counts 2**53, 1 and 1 of one cell, each in its own block and group:
-    whatever their order, the count table holds 2**53 + 2, as build_matrix
-    sums them."""
-    for k, counts in enumerate(itertools.permutations([2**53, 1, 1])):
-        path = tmp_path / f"raw{k}.csv"
-        path.write_text(HEADER + "".join(f"\nL1,51.0,-0.1,7,{c}" for c in counts) + "\n")
-        with (mock.patch.object(ingest, "_BLOCK_CHARS", 1),
-              mock.patch.object(ingest, "_GROUP_ROWS", 1)):
-            code, out, _ = cli_ingest(path, tmp_path / str(k))
-        assert (code, out.splitlines()[0]) == (0, f"{path}: 3 records parsed, 0 rows rejected")
-        row = (tmp_path / str(k) / "counts_A.csv").read_text().splitlines()[1]
-        assert float(row.split(",")[3]) == 2**53 + 2, counts
-
-
-def test_cli_ingest_of_a_pipe_whose_cell_reaches_2_53_exits_2(tmp_path):
-    """Such a cell is summed by reading the file again, which a pipe cannot be."""
-    path = tmp_path / "pipe.csv"
-    os.mkfifo(path)
-    text = HEADER + "".join(f"\nL1,51.0,-0.1,7,{c}" for c in (2**53, 1, 1)) + "\n"
-    writer = threading.Thread(target=path.write_text, args=(text,))
-    writer.start()
-    try:
-        with (mock.patch.object(ingest, "_BLOCK_CHARS", 1),
-              mock.patch.object(ingest, "_GROUP_ROWS", 1)):
-            code, out, err = cli_ingest(path, tmp_path / "out")
-    finally:
-        writer.join(timeout=60)
-    assert not writer.is_alive()
-    assert (code, out) == (2, f"{path}: 3 records parsed, 0 rows rejected\n")
-    assert err == f"error: {path}: a cell's sum reaches 2**53, and a pipe cannot be read twice\n"
 
 
 def test_cli_ingest_peak_does_not_grow_with_rows_per_location(tmp_path):
@@ -530,9 +572,16 @@ def _reference(reader, schema, label, window):
         if r.location_id not in row_of:
             row_of[r.location_id] = len(locations)
             locations.append((r.location_id, r.latitude, r.longitude))
-    values = np.zeros((len(locations), len(window.hours())))
+    sums = {}
     for r in in_window:
-        values[row_of[r.location_id], r.hour - window.start] += r.count
+        cell = (row_of[r.location_id], r.hour - window.start)
+        sums[cell] = sums.get(cell, 0) + r.count
+    values = np.zeros((len(locations), len(window.hours())))
+    for (i, j), total in sorted(sums.items()):  # exact int sums
+        if total >= 2**53:
+            raise DataError(f"location {locations[i][0]!r}, hour {window.start + j}: the counts "
+                            f"sum to 2**53 or more, too large to sum exactly in float64")
+        values[i, j] = total
     return records, rejections, values, locations
 
 

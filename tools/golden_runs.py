@@ -71,6 +71,8 @@ CASES = [
                               "--input-b", "inputs/dft/dft_B.csv", "--hours", "0..23"], False),
     ("ingest", ["ingest", "--input-a", "inputs/synth800/synth_A.csv",
                 "--input-b", "inputs/synth800/synth_B.csv"], False),
+    # One cell sums past 2**53, which float64 cannot sum exactly.
+    ("ingest-cell-2-53", ["ingest", "--input-a", "inputs/cell_2_53.csv"], False),
     ("rank-scan", ["rank-scan", "--input-a", "inputs/counts_A.csv", "--ranks", "2..10"], False),
     ("factorize", ["factorize", "--input-a", "inputs/counts_A.csv", "--rank-a", "5",
                    "--init", "nndsvd"], False),
@@ -106,6 +108,8 @@ def make_inputs(src: Path, root: Path) -> None:
     loc_id, rest = rows[0].split(",", 1)
     quoted = [header, f'"{loc_id}",{rest}', *rows[1:]]
     (inputs / "quoted_A.csv").write_text("\n".join(quoted) + "\n", encoding="utf-8")
+    big = [header] + [f"L1,51.0,-0.1,7,{count}" for count in (2**53, 1, 1)]
+    (inputs / "cell_2_53.csv").write_text("\n".join(big) + "\n", encoding="utf-8")
 
     sys.dont_write_bytecode = True  # leave no __pycache__ in either tree
     sys.path[:0] = [str(src), str(REPO / "perfbench")]
