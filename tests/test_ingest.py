@@ -212,22 +212,31 @@ _CELL_2_53 = ("location 'L1', hour 7: the counts sum to 2**53 or more, "
               "too large to sum exactly in float64")
 
 
-def test_a_cell_that_reaches_2_53_is_a_data_error(tmp_path):
-    """Summed in record order, 2**53 + 1 + 1 rounds to 2**53 twice. In every
-    order, such a cell is a DataError from build_matrix, and from the CLI,
-    whose blocks and groups hold one row each, on a file and on a pipe,
-    which it reads once. A cell that sums to 2**53 - 1 stays exact."""
-    def table(counts):
-        return HEADER + "".join(f"\nL1,51.0,-0.1,7,{c}" for c in counts) + "\n"
+def _cell_table(counts):
+    return HEADER + "".join(f"\nL1,51.0,-0.1,7,{c}" for c in counts) + "\n"
 
+
+def test_build_matrix_sums_a_cell_past_2_53_in_ascending_order():
+    """Summed in record order, 2**53 + 1 + 1 rounds to 2**53 twice, and no
+    order makes an already-rounded count exact: in every order, such a cell
+    is a DataError from build_matrix. A cell that sums to 2**53 - 1 stays
+    exact."""
     assert float(2**53) + 1 + 1 == 2**53
-    for k, counts in enumerate(itertools.permutations([2**53, 1, 1])):
+    for counts in itertools.permutations([2**53, 1, 1]):
         with pytest.raises(DataError) as excinfo:
-            build_matrix(parse_records(table(counts)).records)
+            build_matrix(parse_records(_cell_table(counts)).records)
         assert str(excinfo.value) == _CELL_2_53, counts
         exact = [2**53 - 3 if c == 2**53 else c for c in counts]
-        assert build_matrix(parse_records(table(exact)).records).values[0, 0] == 2**53 - 1
-        for name, text, code in (("big", table(counts), 2), ("exact", table(exact), 0)):
+        assert build_matrix(parse_records(_cell_table(exact)).records).values[0, 0] == 2**53 - 1
+
+
+def test_cli_ingest_sums_a_cell_past_2_53_across_blocks_in_ascending_order(tmp_path):
+    """Counts 2**53, 1 and 1 of one cell, each in its own block and group:
+    in every order, the CLI exits 2 with build_matrix's DataError. A cell
+    that sums to 2**53 - 1 is written exactly."""
+    for k, counts in enumerate(itertools.permutations([2**53, 1, 1])):
+        exact = [2**53 - 3 if c == 2**53 else c for c in counts]
+        for name, text, code in (("big", _cell_table(counts), 2), ("exact", _cell_table(exact), 0)):
             path = tmp_path / f"{name}{k}.csv"
             path.write_text(text)
             with (mock.patch.object(ingest, "_BLOCK_CHARS", 1),
@@ -241,12 +250,18 @@ def test_a_cell_that_reaches_2_53_is_a_data_error(tmp_path):
                 row = (tmp_path / "out" / "counts_A.csv").read_text().splitlines()[1]
                 assert float(row.split(",")[3]) == 2**53 - 1
 
+
+def test_cli_ingest_of_a_pipe_whose_cell_reaches_2_53_exits_2(tmp_path):
+    """A pipe is read once, as a file is, and gives the file's DataError."""
     path = tmp_path / "pipe.csv"
     os.mkfifo(path)
-    writer = threading.Thread(target=path.write_text, args=(table([2**53, 1, 1]),), daemon=True)
+    writer = threading.Thread(target=path.write_text, args=(_cell_table([2**53, 1, 1]),),
+                              daemon=True)
     writer.start()
     try:
-        got = cli_ingest(path, tmp_path / "out")
+        with (mock.patch.object(ingest, "_BLOCK_CHARS", 1),
+              mock.patch.object(ingest, "_GROUP_ROWS", 1)):
+            got = cli_ingest(path, tmp_path / "out")
     finally:
         writer.join(timeout=60)
     assert not writer.is_alive()
