@@ -331,16 +331,24 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _period(cfg: PipelineConfig, path: Path, label: str, rank: int | None) -> PatternSet:
+def _period(cfg: PipelineConfig, path: Path, label: str, rank: int | None,
+            base: bool = False) -> PatternSet:
     """Everything `run` does for one period: prepare, solve and finish.
 
-    Returns the patterns, which carry the count matrix. A package error
-    leaves with `stage`, the pipeline stage it came from: "ingest", then
-    "rank selection" or "factorization".
+    Returns the patterns, which carry the count matrix. The `base` period
+    of the comparison fails as soon as its counts are known to sum to 0. A
+    package error leaves with `stage`, the pipeline stage it came from:
+    "ingest", "comparison" for that zero total, then "rank selection" or
+    "factorization".
     """
     stage = "ingest"
     try:
         x = _prepare(cfg, path, label, raw=True)
+        if base:
+            from .patterns import reduction_base
+
+            stage = "comparison"
+            reduction_base(x.source)
         stage = "rank selection" if rank is None else "factorization"
         return _finish(cfg, x, label, *_solve(cfg, x, label, rank), patterns=True)
     except TrafficNmfError as e:
@@ -428,7 +436,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 process = ctx.Process(target=_period_worker, args=(child_conn, *period_b))
                 process.start()
             worker = process
-        patterns_a = _period(cfg, path_a, cfg.label_a, cfg.rank_a)
+        patterns_a = _period(cfg, path_a, cfg.label_a, cfg.rank_a, base=True)
         if worker is not None:
             patterns_b = _receive(worker, conn, cfg.label_b)
         else:

@@ -15,6 +15,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -414,14 +415,20 @@ def _validate(fields, lines: np.ndarray, rejections: RejectionSummary, codes: de
     its accepted rows as five arrays, the hours as int64 and each location
     id as its code in `codes`, which gives a new id the next code.
 
-    `_reasons` gives each row's reason, an empty location or a latitude or
-    longitude that is not a number being malformed.
+    `_reasons` gives each row's reason, an empty location, a latitude or
+    longitude that is not a number, or a count whose text is not a whole
+    number being malformed.
     """
-    loc_ids, lat, lon, hour, count = fields
+    loc_ids, lat, lon, hour, count_text = fields
     loc_ids = list(map(str.strip, loc_ids))
-    (lat, bad_lat), (lon, bad_lon), (hour, _), (count, _) = map(_floats, (lat, lon, hour, count))
-    has_id = np.fromiter(map(bool, loc_ids), bool, len(loc_ids))
-    reason = _reasons(lat, lon, hour, count, bad_lat | bad_lon | ~has_id)
+    (lat, bad_lat), (lon, bad_lon), (hour, _), (count, _) = map(_floats,
+                                                                (lat, lon, hour, count_text))
+    malformed = bad_lat | bad_lon | ~np.fromiter(map(bool, loc_ids), bool, len(loc_ids))
+    # From 2**52 on every float is whole, so float() may have rounded away a
+    # fraction that only the text still shows.
+    for i in np.flatnonzero(np.isfinite(count) & (np.abs(count) >= 2**52)).tolist():
+        malformed[i] |= Fraction(count_text[i]).denominator != 1
+    reason = _reasons(lat, lon, hour, count, malformed)
     rejected = np.flatnonzero(reason >= 0)
     for line, r in zip(lines[rejected].tolist(), reason[rejected].tolist()):
         rejections.add(line, _REASONS[r])

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import math
+import stat
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
@@ -74,34 +76,67 @@ def _hour_rows(hours: list[int], values: np.ndarray) -> Iterator[list[str]]:
         yield [str(hour), *map(_fmt, row.tolist())]
 
 
+class _CountingReader(io.BufferedReader):
+    """A binary reader that counts the line ends in the bytes it has handed
+    on, so that an input that cannot be read twice, such as a pipe, can name
+    the line of a byte that is not UTF-8."""
+
+    line_ends = 0
+    _cr = False  # the bytes handed on end in "\r"
+
+    def _counted(self, chunk: bytes) -> bytes:
+        # A "\r\n" split between two chunks ends one line.
+        self.line_ends += _line_ends(chunk) - (self._cr and chunk.startswith(b"\n"))
+        self._cr = chunk.endswith(b"\r") if chunk else self._cr
+        return chunk
+
+    def read(self, size=-1):
+        return self._counted(super().read(size))
+
+    def read1(self, size=-1):
+        return self._counted(super().read1(size))
+
+
+def _line_ends(data: bytes) -> int:
+    # "\r\n", "\r" and "\n" each end a line, as for csv.
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
 @contextlib.contextmanager
 def read_text(path: Path) -> Iterator[TextIO]:
     """Open a delimited input file for `csv`: UTF-8, newlines left to csv.
 
     One byte that is not UTF-8, anywhere in the file, rejects the whole
     file: DataError naming the file and the physical line of the first such
-    byte. That line is found only on this error path, by decoding the file
-    again from its bytes. A file that cannot be opened, such as a directory,
-    is a MissingInputError naming it.
+    byte. A regular file finds that line only on this error path, by
+    reading the file again; any other input, such as a pipe, is read once
+    and counts line ends as it goes. A file that cannot be opened, such as
+    a directory, is a MissingInputError naming it.
     """
     try:
-        f = path.open("r", newline="", encoding="utf-8")
+        regular = stat.S_ISREG(path.stat().st_mode)
+        f = (path.open("r", newline="", encoding="utf-8") if regular else
+             io.TextIOWrapper(_CountingReader(path.open("rb", buffering=0)),
+                              encoding="utf-8", newline=""))
     except OSError as e:
         raise MissingInputError(f"{path} cannot be read: {e.strerror}") from None
     with f:
         try:
             yield f
-        except UnicodeDecodeError:
-            data = path.read_bytes()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as e:
-                before = data[:e.start].decode("utf-8")
-                # "\r\n", "\r" and "\n" each end a line, as for csv.
-                line = 1 + before.count("\n") + before.count("\r") - before.count("\r\n")
-                raise DataError(f"{path}, line {line}: byte {data[e.start]:#04x} is not UTF-8; "
-                                f"the whole file is rejected") from None
-            raise
+        except UnicodeDecodeError as e:
+            if regular:
+                data = path.read_bytes()
+                try:
+                    data.decode("utf-8")
+                except UnicodeDecodeError as first:
+                    byte, line = data[first.start], 1 + _line_ends(data[:first.start])
+                else:
+                    raise
+            else:  # the byte is in the last chunk handed on
+                byte = e.object[e.start]
+                line = 1 + f.buffer.line_ends - _line_ends(e.object[e.start:])
+            raise DataError(f"{path}, line {line}: byte {byte:#04x} is not UTF-8; "
+                            f"the whole file is rejected") from None
 
 
 def write_count_matrix(path: Path | str, m: CountMatrix) -> None:

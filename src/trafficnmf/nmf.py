@@ -6,20 +6,28 @@ nonnegativity constraints. Uses the classical multiplicative update rule
 of Lee & Seung (2001), which keeps both factors nonnegative and never
 increases the objective.
 
+From rank 2 on, X and W sit side by side in one column-major n x (m + r)
+buffer, so that one GEMM, [X | W]^T W, gives both X^T W (its first m rows)
+and W^T W (its last r rows); numpy would otherwise form W^T W with syrk,
+which is slower than a GEMM of the same shape. Every n x r array of the
+loop shares the buffer's layout. At rank 1 numpy forms these products as
+matrix-vector and dot products, whose rounding the GEMM does not
+reproduce, so rank 1 keeps the plain products.
+
 Each iteration's loss comes from the trace identity (Gillis & Glineur,
 2012)
 
-    ||X - W H^T||^2 = ||X||^2 - 2 <W, X H> + <W^T W, H^T H>,
+    ||X - W H^T||^2 = ||X||^2 - 2 <X^T W, H> + <W^T W, H^T H>,
 
-with ||X||^2 computed once per solve and X H, H^T H and W^T W taken from
-the updates, which form them anyway (W^T W is carried into the next
-iteration's H update). That costs O((n + m) r^2) per iteration instead of
-the O(n m r) of the explicit residual. Where the identity's value is at
-most 1e-5 ||X||^2 (a near-exact fit, or the zero matrix), cancellation
-would cost it too many digits, and that entry comes from the explicit
-residual instead. The initial loss is always explicit. The updates are
-the plain rule's, so factors and iteration counts do not depend on how
-the loss is computed.
+with ||X||^2 computed once per solve and X^T W, W^T W and H^T H taken from
+the updates, which form them anyway (X^T W and W^T W of the new W are the
+next H update's). That costs O((n + m) r^2) per iteration instead of the
+O(n m r) of the explicit residual. Where the identity's value is at most
+1e-5 ||X||^2 (a near-exact fit, or the zero matrix), cancellation would
+cost it too many digits, and that entry comes from the explicit residual
+instead. The initial loss is always explicit. The updates are the plain
+rule's, so factors and iteration counts do not depend on how the loss is
+computed.
 """
 
 from __future__ import annotations
@@ -157,12 +165,13 @@ def factorize(x: NormalizedMatrix | np.ndarray, cfg: NmfConfig) -> FactorPair:
     """Run multiplicative updates until the relative loss change drops below
     cfg.tol or cfg.max_iters is reached.
 
-    Deterministic for a fixed input, config, and seed. Raises
-    InvalidRankError if cfg.rank exceeds min(n, m), NonFiniteError if the
-    input has a NaN or infinite entry, and NonNegativityError if it has a
-    negative entry.
+    Deterministic for a fixed input, config, and seed, whatever the input's
+    memory layout. Raises InvalidRankError if cfg.rank exceeds min(n, m),
+    NonFiniteError if the input has a NaN or infinite entry, and
+    NonNegativityError if it has a negative entry. The returned w is
+    C-contiguous and owns its data.
     """
-    data = x.values if isinstance(x, NormalizedMatrix) else np.asarray(x, dtype=float)
+    data = np.ascontiguousarray(x.values if isinstance(x, NormalizedMatrix) else x, dtype=float)
     n, m = data.shape
     if cfg.rank > min(n, m):
         raise InvalidRankError(f"rank {cfg.rank} exceeds min matrix dimension {min(n, m)}")
@@ -177,17 +186,14 @@ def factorize(x: NormalizedMatrix | np.ndarray, cfg: NmfConfig) -> FactorPair:
         w, h = _random_init(data, cfg.rank, cfg.seed)
 
     x_sq = float(np.vdot(data, data))
-    wtw = w.T @ w
     trace = [float(np.linalg.norm(data - w @ h.T))]
+    updates = _plain_updates(data, w, h) if cfg.rank == 1 else _fused_updates(data, w, h)
+    del w  # the fused kernel's copy in its buffer is then the only W alive
     converged = False
     iterations = 0
     for _ in range(cfg.max_iters):
-        h *= (data.T @ w) / np.maximum(h @ wtw, _DENOM_FLOOR)
-        xh = data @ h
-        hth = h.T @ h
-        w *= xh / np.maximum(w @ hth, _DENOM_FLOOR)
-        wtw = w.T @ w
-        loss_sq = x_sq - 2.0 * float(np.vdot(w, xh)) + float(np.vdot(wtw, hth))
+        w, cross, gram = next(updates)
+        loss_sq = x_sq - 2.0 * cross + gram
         if loss_sq > _IDENTITY_FLOOR * x_sq:
             loss = float(np.sqrt(loss_sq))
         else:
@@ -199,6 +205,48 @@ def factorize(x: NormalizedMatrix | np.ndarray, cfg: NmfConfig) -> FactorPair:
             converged = True
             break
 
-    return FactorPair(w=w, h=h, objective_trace=trace, converged=converged,
+    updates.close()  # frees the kernel's work arrays before w is copied out of its buffer
+    return FactorPair(w=w.copy(), h=h, objective_trace=trace, converged=converged,
                       iterations_run=iterations)
 
+
+def _plain_updates(data: np.ndarray, w: np.ndarray, h: np.ndarray):
+    """The plain rule, updating w and h in place: yields, after each
+    iteration, w, <W, X H> and <W^T W, H^T H>. Rank 1 takes this path."""
+    wtw = w.T @ w
+    while True:
+        h *= (data.T @ w) / np.maximum(h @ wtw, _DENOM_FLOOR)
+        xh = data @ h
+        hth = h.T @ h
+        w *= xh / np.maximum(w @ hth, _DENOM_FLOOR)
+        wtw = w.T @ w
+        yield w, float(np.vdot(w, xh)), float(np.vdot(wtw, hth))
+
+
+def _fused_updates(data: np.ndarray, w: np.ndarray, h: np.ndarray):
+    """The plain rule on the [X | W] buffer, updating h and the buffer's W in
+    place: yields, after each iteration, the W view, <X^T W, H> and
+    <W^T W, H^T H>.
+
+    X H and the W update's denominator go into two preallocated arrays,
+    column-major like the buffer: row-major ones, or temporaries in their
+    place, cost more than the fused GEMM saves.
+    """
+    n, m = data.shape
+    xw = np.empty((n, m + w.shape[1]), order="F")
+    xw[:, :m] = data
+    xw[:, m:] = w
+    x, w = xw[:, :m], xw[:, m:]
+    xh, den = np.empty_like(w, order="F"), np.empty_like(w, order="F")
+    gram = xw.T @ w
+    xtw, wtw = gram[:m], gram[m:]
+    while True:
+        h *= xtw / np.maximum(h @ wtw, _DENOM_FLOOR)
+        hth = h.T @ h
+        np.matmul(x, h, out=xh)
+        np.matmul(w, hth, out=den)
+        np.maximum(den, _DENOM_FLOOR, out=den)
+        xh /= den
+        w *= xh
+        np.matmul(xw.T, w, out=gram)
+        yield w, float(np.vdot(xtw, h)), float(np.vdot(wtw, hth))

@@ -676,6 +676,25 @@ def test_run_failure_names_its_stage(tmp_path, synth_pair, capsys, monkeypatch, 
     assert multiprocessing.active_children() == []
 
 
+def test_run_with_a_zero_total_period_a_stops_after_its_count_table(tmp_path, synth_pair,
+                                                                    capsys, monkeypatch):
+    """A's zero total is known once its count matrix exists: nothing is
+    solved and B is never read."""
+    raw_a, raw_b = synth_pair
+    header, *rows = raw_a.read_text().splitlines()
+    zero_a = tmp_path / "zero_a.csv"
+    zero_a.write_text("\n".join([header] + [r.rsplit(",", 1)[0] + ",0" for r in rows]) + "\n")
+    take_path(monkeypatch, "in-process")
+    out = tmp_path / "out"
+    assert run_cli_within(120, "run", "--input-a", str(zero_a), "--input-b", str(raw_b),
+                          "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"pipeline failed during comparison; outputs under {out} may be "
+                            f"partial\nerror: period A has zero total count; reduction undefined\n")
+    assert str(raw_b) not in captured.out
+    assert [p.name for p in out.iterdir()] == ["counts_A.csv"]
+
+
 @forks_with_threads
 def test_run_failure_in_period_a_stops_the_worker(tmp_path, synth_pair, capsys, monkeypatch):
     _, raw_b = synth_pair

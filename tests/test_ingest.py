@@ -90,6 +90,27 @@ def test_parse_accepts_integral_float_formatting():
     assert (t.hour[0], t.count[0]) == (7, 120)
 
 
+def test_a_count_past_2_52_is_whole_only_if_its_text_is(tmp_path):
+    """From 2**52 on float() rounds every count to a whole number, so the
+    text decides: a fraction there is malformed, as 2.5 is."""
+    rows = ["L1,51,0,7,4503599627370496.5", "L2,51,0,7,4503599627370496",
+            "L3,51,0,7,4.503599627370496e15", "L4,51,0,7,-9007199254740993.5"]
+    text = "\n".join([HEADER, *rows]) + "\n"
+    result = parse_records(text)
+    assert result.records.location_ids.tolist() == ["L2", "L3"]
+    assert result.records.count.tolist() == [2**52, 2**52]
+    assert result.rejections.samples == [(2, "malformed"), (5, "malformed")]
+
+    path = tmp_path / "big.csv"
+    path.write_text(text)
+    code, out, err = cli_ingest(path, tmp_path / "out")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"{path}: 2 records parsed, 2 rows rejected (malformed: 2)\n")
+    table = (tmp_path / "out" / "counts_A.csv").read_text().splitlines()[1:]
+    assert [(row.split(",")[0], float(row.split(",")[3])) for row in table] == [
+        ("L2", 2**52), ("L3", 2**52)]
+
+
 def test_parse_missing_column():
     with pytest.raises(MissingColumnError):
         parse_records("count_point_id,latitude,longitude,hour\n1,51.5,-0.1,7\n")
@@ -267,6 +288,39 @@ def test_cli_ingest_of_a_pipe_whose_cell_reaches_2_53_exits_2(tmp_path):
     assert not writer.is_alive()
     assert got == (2, f"{path}: 3 records parsed, 0 rows rejected\n",
                    f"error: {path}: {_CELL_2_53}\n")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_cli_ingest_of_a_pipe_with_a_byte_that_is_not_utf8_exits_2_at_once(tmp_path, newline):
+    """A pipe is not opened again to find the line of the bad byte: it gives
+    the file's DataError, its line counted from what was read. The writer
+    sends a few bytes at a time, so that line ends fall across reads."""
+    rows = [HEADER.encode()] + [f"L{i},51.0,-0.1,7,{i}".encode() for i in range(1, 3000)]
+    rows[2500] = b"L\xa3" + rows[2500]  # line 2501, past the first read
+    data = newline.encode().join(rows)
+    file = tmp_path / "file.csv"
+    file.write_bytes(data)
+    message = "byte 0xa3 is not UTF-8; the whole file is rejected\n"
+    assert cli_ingest(file, tmp_path / "out") == (2, "", f"error: {file}, line 2501: {message}")
+
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), path.open("wb", buffering=0) as pipe:
+            for k in range(0, len(data), 7):
+                pipe.write(data[k:k + 7])
+
+    outcome = []
+    writer = threading.Thread(target=write, daemon=True)
+    reader = threading.Thread(target=lambda: outcome.append(cli_ingest(path, tmp_path / "out")),
+                              daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=60)
+    writer.join(timeout=60)
+    assert not reader.is_alive() and not writer.is_alive()
+    assert outcome == [(2, "", f"error: {path}, line 2501: {message}")]
 
 
 def test_build_matrix_takes_coordinates_from_the_first_record_of_the_first_cell():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from trafficnmf.errors import InvalidRankError, NonFiniteError, NonNegativityError
+from trafficnmf.ingest import CountMatrix, HourWindow, minmax_normalize
 from trafficnmf.nmf import INIT_NNDSVD, NmfConfig, _random_init, factorize
 from trafficnmf.patterns import cosine_similarity_matrix
 from trafficnmf.synth import SyntheticSpec, generate_period
@@ -183,6 +184,57 @@ def nonnegative_problems(draw):
 def test_trace_identity_loss_matches_explicit_residual(problem):
     x, rank, seed = problem
     cfg = NmfConfig(rank=rank, seed=seed)
+    w, h, trace = explicit_residual_mu(x, cfg)
+    pair = factorize(x, cfg)
+    assert pair.iterations_run == len(trace) - 1
+    np.testing.assert_allclose(pair.w, w, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(pair.h, h, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(pair.objective_trace, trace, rtol=1e-9, atol=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonnegative_problems())
+def test_rank_one_is_the_plain_rule_bit_for_bit(problem):
+    """Rank 1 keeps numpy's matrix-vector products; the fused GEMM of higher
+    ranks would round them differently."""
+    x, _, seed = problem
+    pair = factorize(x, NmfConfig(rank=1, seed=seed))
+    w, h = _random_init(x, 1, seed)
+    for _ in range(pair.iterations_run):
+        h *= (x.T @ w) / np.maximum(h @ (w.T @ w), 1e-12)
+        w *= (x @ h) / np.maximum(w @ (h.T @ h), 1e-12)
+    assert np.array_equal(pair.w, w)
+    assert np.array_equal(pair.h, h)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 5])
+@pytest.mark.parametrize("init", ["random", INIT_NNDSVD])
+def test_input_layout_does_not_change_the_pair(rank, init):
+    """C-order, F-order, strided and NormalizedMatrix inputs give the same
+    bits, and w is always a C-contiguous array of its own."""
+    rng = np.random.default_rng(rank)
+    counts = np.round(rng.random((40, 12)) * 100)
+    x = minmax_normalize(CountMatrix(counts, [(f"L{i}", 0.0, 0.0) for i in range(40)],
+                                     list(range(7, 19)), "A"))
+    cfg = NmfConfig(rank=rank, seed=3, init=init)
+    pairs = [factorize(v, cfg) for v in (x, x.values, np.asfortranarray(x.values),
+                                         np.repeat(x.values, 2, axis=1)[:, ::2])]
+    for pair in pairs:
+        assert pair.w.flags.c_contiguous and pair.w.flags.owndata
+        assert np.array_equal(pair.w, pairs[0].w)
+        assert np.array_equal(pair.h, pairs[0].h)
+        assert pair.objective_trace == pairs[0].objective_trace
+
+
+@pytest.mark.parametrize("rank", range(2, 7))
+def test_fused_kernel_matches_the_plain_rule_on_a_planted_input(rank):
+    """At 300 x 24 the fused [X | W]^T W product rounds differently from the
+    plain rule's products; the two solves stay within the trace-identity
+    property's tolerances and stop at the same iteration."""
+    spec = SyntheticSpec(n_locations=300, n_hours=24, planted_rank=4, noise_level=0.05, seed=1)
+    x = generate_period(spec, window=HourWindow(0, 23)).counts
+    x = x / x.max(axis=0)
+    cfg = NmfConfig(rank=rank, seed=10 + rank)
     w, h, trace = explicit_residual_mu(x, cfg)
     pair = factorize(x, cfg)
     assert pair.iterations_run == len(trace) - 1

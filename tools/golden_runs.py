@@ -61,7 +61,7 @@ CASES = [
                          "--input-b", "inputs/synth800/synth_B.csv", "--rank-a", "20"], True),
     ("run-fail-zero-a", ["run", "--input-a", "inputs/zero_A.csv",
                          "--input-b", "inputs/synth800/synth_B.csv",
-                         "--rank-a", "6", "--rank-b", "4"], False),
+                         "--rank-a", "6", "--rank-b", "4"], True),
     ("run-dft-fixed", ["run", "--input-a", "inputs/dft/dft_A.csv",
                        "--input-b", "inputs/dft/dft_B.csv", "--rank-a", "6", "--rank-b", "4"],
      False),
