@@ -345,10 +345,10 @@ def _period(cfg: PipelineConfig, path: Path, label: str, rank: int | None,
     try:
         x = _prepare(cfg, path, label, raw=True)
         if base:
-            from .patterns import reduction_base
+            from .patterns import _reduction_base
 
             stage = "comparison"
-            reduction_base(x.source)
+            _reduction_base(x.source)
         stage = "rank selection" if rank is None else "factorization"
         return _finish(cfg, x, label, *_solve(cfg, x, label, rank), patterns=True)
     except TrafficNmfError as e:

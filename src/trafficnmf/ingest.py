@@ -15,7 +15,6 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -397,6 +396,13 @@ def _integral(values: np.ndarray) -> np.ndarray:
     return np.isfinite(values) & (np.floor(values) == values)
 
 
+def _whole(text: str) -> bool:
+    """Whether the number that `float` parses from `text` is whole, exactly."""
+    from fractions import Fraction  # loaded only on the rare count that needs it
+
+    return Fraction(text).denominator == 1
+
+
 def _reasons(lat, lon, hour, count, malformed: np.ndarray) -> np.ndarray:
     """Each row's index into `_REASONS` of the first check it fails, or -1:
     flagged in `malformed` or a count not integral; a negative count; an
@@ -421,13 +427,14 @@ def _validate(fields, lines: np.ndarray, rejections: RejectionSummary, codes: de
     """
     loc_ids, lat, lon, hour, count_text = fields
     loc_ids = list(map(str.strip, loc_ids))
-    (lat, bad_lat), (lon, bad_lon), (hour, _), (count, _) = map(_floats,
-                                                                (lat, lon, hour, count_text))
-    malformed = bad_lat | bad_lon | ~np.fromiter(map(bool, loc_ids), bool, len(loc_ids))
+    (lat, bad_lat), (lon, bad_lon), (hour, _), (count, _) = map(
+        _floats, (lat, lon, hour, count_text))
+    has_id = np.fromiter(map(bool, loc_ids), bool, len(loc_ids))
+    malformed = bad_lat | bad_lon | ~has_id
     # From 2**52 on every float is whole, so float() may have rounded away a
     # fraction that only the text still shows.
     for i in np.flatnonzero(np.isfinite(count) & (np.abs(count) >= 2**52)).tolist():
-        malformed[i] |= Fraction(count_text[i]).denominator != 1
+        malformed[i] |= not _whole(count_text[i])
     reason = _reasons(lat, lon, hour, count, malformed)
     rejected = np.flatnonzero(reason >= 0)
     for line, r in zip(lines[rejected].tolist(), reason[rejected].tolist()):

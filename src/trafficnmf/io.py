@@ -85,9 +85,9 @@ class _CountingReader(io.BufferedReader):
     _cr = False  # the bytes handed on end in "\r"
 
     def _counted(self, chunk: bytes) -> bytes:
-        # A "\r\n" split between two chunks ends one line.
-        self.line_ends += _line_ends(chunk) - (self._cr and chunk.startswith(b"\n"))
-        self._cr = chunk.endswith(b"\r") if chunk else self._cr
+        if chunk:  # a "\r\n" split between two chunks ends one line
+            self.line_ends += _line_ends(chunk) - (self._cr and chunk.startswith(b"\n"))
+            self._cr = chunk.endswith(b"\r")
         return chunk
 
     def read(self, size=-1):

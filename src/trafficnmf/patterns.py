@@ -170,12 +170,12 @@ def compare_periods(set_a: PatternSet, set_b: PatternSet, match: PatternMatch) -
     The aggregate reduction always comes from the raw count totals of the
     sets' matrices, never from normalized values.
     """
-    total_a = reduction_base(set_a.matrix)
+    total_a = _reduction_base(set_a.matrix)
     reduction = 100.0 * (total_a - set_b.matrix.total()) / total_a
     return ComparisonReport(set_a=set_a, set_b=set_b, match=match, total_reduction_pct=reduction)
 
 
-def reduction_base(matrix: CountMatrix) -> float:
+def _reduction_base(matrix: CountMatrix) -> float:
     """Period A's total count, the base of the reduction; ZeroTotalError if
     it is 0."""
     total = matrix.total()
