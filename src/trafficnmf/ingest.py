@@ -398,9 +398,11 @@ def _integral(values: np.ndarray) -> np.ndarray:
 
 def _whole(text: str) -> bool:
     """Whether the number that `float` parses from `text` is whole, exactly."""
-    from fractions import Fraction  # loaded only on the rare count that needs it
+    from decimal import Decimal  # loaded only on the rare count that needs it
 
-    return Fraction(text).denominator == 1
+    # Decimal reads a text of any length; int() and Fraction stop at 4300 digits.
+    number = Decimal(text)
+    return number == number.to_integral_value()
 
 
 def _reasons(lat, lon, hour, count, malformed: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import stat
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
@@ -78,8 +77,8 @@ def _hour_rows(hours: list[int], values: np.ndarray) -> Iterator[list[str]]:
 
 class _CountingReader(io.BufferedReader):
     """A binary reader that counts the line ends in the bytes it has handed
-    on, so that an input that cannot be read twice, such as a pipe, can name
-    the line of a byte that is not UTF-8."""
+    on, so that a reader can name the line of a byte that is not UTF-8
+    without reading the input again."""
 
     line_ends = 0
     _cr = False  # the bytes handed on end in "\r"
@@ -108,35 +107,23 @@ def read_text(path: Path) -> Iterator[TextIO]:
 
     One byte that is not UTF-8, anywhere in the file, rejects the whole
     file: DataError naming the file and the physical line of the first such
-    byte. A regular file finds that line only on this error path, by
-    reading the file again; any other input, such as a pipe, is read once
-    and counts line ends as it goes. A file that cannot be opened, such as
-    a directory, is a MissingInputError naming it.
+    byte, found from the line ends counted as the file is read, so that an
+    input that cannot be read twice, such as a pipe, is read once. A file
+    that cannot be opened, such as a directory, is a MissingInputError
+    naming it.
     """
     try:
-        regular = stat.S_ISREG(path.stat().st_mode)
-        f = (path.open("r", newline="", encoding="utf-8") if regular else
-             io.TextIOWrapper(_CountingReader(path.open("rb", buffering=0)),
-                              encoding="utf-8", newline=""))
+        f = io.TextIOWrapper(_CountingReader(path.open("rb", buffering=0)),
+                             encoding="utf-8", newline="")
     except OSError as e:
         raise MissingInputError(f"{path} cannot be read: {e.strerror}") from None
     with f:
         try:
             yield f
-        except UnicodeDecodeError as e:
-            if regular:
-                data = path.read_bytes()
-                try:
-                    data.decode("utf-8")
-                except UnicodeDecodeError as first:
-                    byte, line = data[first.start], 1 + _line_ends(data[:first.start])
-                else:
-                    raise
-            else:  # the byte is in the last chunk handed on
-                byte = e.object[e.start]
-                line = 1 + f.buffer.line_ends - _line_ends(e.object[e.start:])
-            raise DataError(f"{path}, line {line}: byte {byte:#04x} is not UTF-8; "
-                            f"the whole file is rejected") from None
+        except UnicodeDecodeError as e:  # the byte is in the last chunk handed on
+            line = 1 + f.buffer.line_ends - _line_ends(e.object[e.start:])
+            raise DataError(f"{path}, line {line}: byte {e.object[e.start]:#04x} is not "
+                            f"UTF-8; the whole file is rejected") from None
 
 
 def write_count_matrix(path: Path | str, m: CountMatrix) -> None:

@@ -676,23 +676,33 @@ def test_run_failure_names_its_stage(tmp_path, synth_pair, capsys, monkeypatch, 
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("path", PATHS)
 def test_run_with_a_zero_total_period_a_stops_after_its_count_table(tmp_path, synth_pair,
-                                                                    capsys, monkeypatch):
-    """A's zero total is known once its count matrix exists: nothing is
-    solved and B is never read."""
+                                                                    capsys, monkeypatch, path):
+    """A's zero total is known once its count matrix exists: nothing of A is
+    solved, A's count table is written whole, and in this process B is never
+    read. A forked B's worker is stopped wherever it has got to."""
     raw_a, raw_b = synth_pair
     header, *rows = raw_a.read_text().splitlines()
     zero_a = tmp_path / "zero_a.csv"
     zero_a.write_text("\n".join([header] + [r.rsplit(",", 1)[0] + ",0" for r in rows]) + "\n")
-    take_path(monkeypatch, "in-process")
+    assert run_cli_within(120, "ingest", "--input-a", str(zero_a),
+                          "--out", str(tmp_path / "ingested")) == 0
+    capsys.readouterr()
+    take_path(monkeypatch, path)
     out = tmp_path / "out"
     assert run_cli_within(120, "run", "--input-a", str(zero_a), "--input-b", str(raw_b),
                           "--out", str(out)) == 2
     captured = capsys.readouterr()
     assert captured.err == (f"pipeline failed during comparison; outputs under {out} may be "
                             f"partial\nerror: period A has zero total count; reduction undefined\n")
-    assert str(raw_b) not in captured.out
-    assert [p.name for p in out.iterdir()] == ["counts_A.csv"]
+    assert (out / "counts_A.csv").read_bytes() == (
+        tmp_path / "ingested" / "counts_A.csv").read_bytes()
+    assert not [p for p in out.iterdir() if p.name.startswith("A_")]
+    if path == "in-process":
+        assert str(raw_b) not in captured.out
+        assert [p.name for p in out.iterdir()] == ["counts_A.csv"]
+    assert multiprocessing.active_children() == []
 
 
 @forks_with_threads

@@ -93,22 +93,25 @@ def test_parse_accepts_integral_float_formatting():
 def test_a_count_past_2_52_is_whole_only_if_its_text_is(tmp_path):
     """From 2**52 on float() rounds every count to a whole number, so the
     text decides: a fraction there is malformed, as 2.5 is."""
+    # Past 4300 digits int() refuses a text, so L5's and L6's are checked too.
     rows = ["L1,51,0,7,4503599627370496.5", "L2,51,0,7,4503599627370496",
-            "L3,51,0,7,4.503599627370496e15", "L4,51,0,7,-9007199254740993.5"]
+            "L3,51,0,7,4.503599627370496e15", "L4,51,0,7,-9007199254740993.5",
+            "L5,51,0,7,4503599627370496." + "0" * 5000,
+            "L6,51,0,7,4503599627370496." + "0" * 4999 + "1"]
     text = "\n".join([HEADER, *rows]) + "\n"
     result = parse_records(text)
-    assert result.records.location_ids.tolist() == ["L2", "L3"]
-    assert result.records.count.tolist() == [2**52, 2**52]
-    assert result.rejections.samples == [(2, "malformed"), (5, "malformed")]
+    assert result.records.location_ids.tolist() == ["L2", "L3", "L5"]
+    assert result.records.count.tolist() == [2**52, 2**52, 2**52]
+    assert result.rejections.samples == [(2, "malformed"), (5, "malformed"), (7, "malformed")]
 
     path = tmp_path / "big.csv"
     path.write_text(text)
     code, out, err = cli_ingest(path, tmp_path / "out")
     assert (code, err) == (0, "")
-    assert out.startswith(f"{path}: 2 records parsed, 2 rows rejected (malformed: 2)\n")
+    assert out.startswith(f"{path}: 3 records parsed, 3 rows rejected (malformed: 3)\n")
     table = (tmp_path / "out" / "counts_A.csv").read_text().splitlines()[1:]
     assert [(row.split(",")[0], float(row.split(",")[3])) for row in table] == [
-        ("L2", 2**52), ("L3", 2**52)]
+        ("L2", 2**52), ("L3", 2**52), ("L5", 2**52)]
 
 
 def test_parse_missing_column():
