@@ -97,8 +97,14 @@ class _CountingReader(io.BufferedReader):
 
 
 def _line_ends(data: bytes) -> int:
-    # "\r\n", "\r" and "\n" each end a line, as for csv.
-    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+    # "\r\n", "\r" and "\n" each end a line, as for csv. numpy counts a
+    # byte several times faster than bytes.count.
+    b = np.frombuffer(data, np.uint8)
+    ends = np.count_nonzero(b == 10)
+    if b"\r" in data:
+        cr = b == 13
+        ends += np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & (b[1:] == 10))
+    return int(ends)
 
 
 @contextlib.contextmanager
@@ -117,6 +123,9 @@ def read_text(path: Path) -> Iterator[TextIO]:
                              encoding="utf-8", newline="")
     except OSError as e:
         raise MissingInputError(f"{path} cannot be read: {e.strerror}") from None
+    # Chunks of 64 KiB, not 8 KiB: counting costs mostly per chunk, and a
+    # larger chunk reads faster too.
+    f._CHUNK_SIZE = 1 << 16
     with f:
         try:
             yield f

@@ -297,14 +297,20 @@ def test_cli_ingest_of_a_pipe_whose_cell_reaches_2_53_exits_2(tmp_path):
 def test_cli_ingest_of_a_pipe_with_a_byte_that_is_not_utf8_exits_2_at_once(tmp_path, newline):
     """A pipe is not opened again to find the line of the bad byte: it gives
     the file's DataError, its line counted from what was read. The writer
-    sends a few bytes at a time, so that line ends fall across reads."""
-    rows = [HEADER.encode()] + [f"L{i},51.0,-0.1,7,{i}".encode() for i in range(1, 3000)]
-    rows[2500] = b"L\xa3" + rows[2500]  # line 2501, past the first read
+    sends a few bytes at a time, so that line ends fall across reads; the
+    file is read in 64 KiB chunks, and with "\r\n" one is split between
+    its first two."""
+    rows = [HEADER.encode()] + [f"L{i},51.0,-0.1,7,{i}".encode() for i in range(1, 6000)]
+    rows[5000] = b"L\xa3" + rows[5000]  # line 5001, past the first chunk
+    if newline == "\r\n":
+        split = b"\r\n".join(rows).index(b"\r\n", 2**16 - 40)
+        rows[1] = b"x" * (2**16 - 1 - split) + rows[1]
     data = newline.encode().join(rows)
     file = tmp_path / "file.csv"
     file.write_bytes(data)
+    assert newline != "\r\n" or data[2**16 - 1:2**16 + 1] == b"\r\n"
     message = "byte 0xa3 is not UTF-8; the whole file is rejected\n"
-    assert cli_ingest(file, tmp_path / "out") == (2, "", f"error: {file}, line 2501: {message}")
+    assert cli_ingest(file, tmp_path / "out") == (2, "", f"error: {file}, line 5001: {message}")
 
     path = tmp_path / "pipe.csv"
     os.mkfifo(path)
@@ -323,7 +329,7 @@ def test_cli_ingest_of_a_pipe_with_a_byte_that_is_not_utf8_exits_2_at_once(tmp_p
     reader.join(timeout=60)
     writer.join(timeout=60)
     assert not reader.is_alive() and not writer.is_alive()
-    assert outcome == [(2, "", f"error: {path}, line 2501: {message}")]
+    assert outcome == [(2, "", f"error: {path}, line 5001: {message}")]
 
 
 def test_build_matrix_takes_coordinates_from_the_first_record_of_the_first_cell():
