@@ -208,7 +208,7 @@ def _ingest(cfg: PipelineConfig, path: Path, label: str) -> CountMatrix:
                 cells.add(*group)
             print(f"{path}: {cells.records} records parsed, {rejections.describe()}")
             matrix = cells.matrix(label)
-        except DataError as e:  # these know no file name; read_text's own errors carry it
+        except DataError as e:  # these know no file name
             sep = ", " if str(e).startswith("line ") else ": "  # "<file>, line N:" as theirs
             raise type(e)(f"{path}{sep}{e}") from None
     n, m = matrix.shape

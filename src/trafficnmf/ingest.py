@@ -262,36 +262,59 @@ def _split_rows(stream, delimiter: str, columns, where: str = ""):
     Blocks of ASCII lines without quotes or bare "\\r" are split at their
     delimiter offsets; from the first block that is not, the rest goes
     through csv. A line csv cannot split is a DataError, `where` and the
-    line, raised once the rows before it are yielded.
+    line, raised once the rows before it are yielded; so is a line that is
+    not valid text (`_blocks`), raised before its block is split.
     """
     limit = csv.field_size_limit()
     indices = None
-    line_no = 0  # physical lines read so far
-    while block := stream.readlines(_BLOCK_CHARS):
-        text = "".join(block)
+    blocks = _blocks(stream, where)
+    for block, text, first in blocks:
         if not _is_plain(text, max(map(len, block)), limit):
             break
-        first = line_no + 1
-        line_no += len(block)
         if indices is None:
             header = block[0].rstrip("\r\n")
             indices = columns(header.split(delimiter) if header else [])
             text = text[len(block[0]):]
             first += 1
         yield _split_plain(text, indices, ord(delimiter), first)
-    if not block:  # every block was plain
+    else:  # every block was plain
         if indices is None:
             columns(None)
         return
 
-    reader = csv.reader(itertools.chain(block, stream), delimiter=delimiter)
+    lines = itertools.chain(block, itertools.chain.from_iterable(b for b, _, _ in blocks))
+    reader = csv.reader(lines, delimiter=delimiter)
     try:
         if indices is None:
             indices = columns(next(reader))
-        yield from _split_csv(reader, indices, line_no)
+        yield from _split_csv(reader, indices, first - 1)
     except csv.Error as e:  # e.g. a bare "\r" in an unquoted field of a str, or a
         # field longer than csv.field_size_limit()
-        raise DataError(f"{where}line {line_no + reader.line_num}: {e}") from None
+        raise DataError(f"{where}line {first - 1 + reader.line_num}: {e}") from None
+
+
+def _blocks(stream, where: str):
+    """Yield the input a block of whole lines at a time, as
+    `stream.readlines(_BLOCK_CHARS)` gives it: the lines, their text and the
+    physical line of the first. A line holding a lone surrogate, which no
+    UTF-8 text holds, is a DataError, `where` and the line: U+DC80..U+DCFF
+    is a byte that is not UTF-8, as a file opened with
+    errors="surrogateescape" keeps it; any other is a character."""
+    line_no = 0  # physical lines read so far
+    while block := stream.readlines(_BLOCK_CHARS):
+        text = "".join(block)
+        if not text.isascii():
+            for k, line in enumerate(block, line_no + 1):
+                try:
+                    line.encode()
+                except UnicodeEncodeError as e:
+                    code = ord(line[e.start])
+                    what = (f"byte {code - 0xDC00:#04x} is not UTF-8" if 0xDC80 <= code <= 0xDCFF
+                            else f"character U+{code:04X} is not valid text")
+                    raise DataError(f"{where}line {k}: {what}; "
+                                    "the whole file is rejected") from None
+        yield block, text, line_no + 1
+        line_no += len(block)
 
 
 def _is_plain(text: str, longest: int, limit: int) -> bool:

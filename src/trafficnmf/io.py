@@ -9,9 +9,7 @@ identical files.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import io
 import json
 import math
 from collections.abc import Iterable, Iterator
@@ -75,64 +73,19 @@ def _hour_rows(hours: list[int], values: np.ndarray) -> Iterator[list[str]]:
         yield [str(hour), *map(_fmt, row.tolist())]
 
 
-class _CountingReader(io.BufferedReader):
-    """A binary reader that counts the line ends in the bytes it has handed
-    on, so that a reader can name the line of a byte that is not UTF-8
-    without reading the input again."""
-
-    line_ends = 0
-    _cr = False  # the bytes handed on end in "\r"
-
-    def _counted(self, chunk: bytes) -> bytes:
-        if chunk:  # a "\r\n" split between two chunks ends one line
-            self.line_ends += _line_ends(chunk) - (self._cr and chunk.startswith(b"\n"))
-            self._cr = chunk.endswith(b"\r")
-        return chunk
-
-    def read(self, size=-1):
-        return self._counted(super().read(size))
-
-    def read1(self, size=-1):
-        return self._counted(super().read1(size))
-
-
-def _line_ends(data: bytes) -> int:
-    # "\r\n", "\r" and "\n" each end a line, as for csv. numpy counts a
-    # byte several times faster than bytes.count.
-    b = np.frombuffer(data, np.uint8)
-    ends = np.count_nonzero(b == 10)
-    if b"\r" in data:
-        cr = b == 13
-        ends += np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & (b[1:] == 10))
-    return int(ends)
-
-
-@contextlib.contextmanager
-def read_text(path: Path) -> Iterator[TextIO]:
+def read_text(path: Path) -> TextIO:
     """Open a delimited input file for `csv`: UTF-8, newlines left to csv.
 
-    One byte that is not UTF-8, anywhere in the file, rejects the whole
-    file: DataError naming the file and the physical line of the first such
-    byte, found from the line ends counted as the file is read, so that an
+    A byte that is not UTF-8 is kept as a lone surrogate, which the reader
+    of the rows (`ingest._split_rows`) rejects, naming its line, so that an
     input that cannot be read twice, such as a pipe, is read once. A file
     that cannot be opened, such as a directory, is a MissingInputError
     naming it.
     """
     try:
-        f = io.TextIOWrapper(_CountingReader(path.open("rb", buffering=0)),
-                             encoding="utf-8", newline="")
+        return path.open(encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as e:
         raise MissingInputError(f"{path} cannot be read: {e.strerror}") from None
-    # Chunks of 64 KiB, not 8 KiB: counting costs mostly per chunk, and a
-    # larger chunk reads faster too.
-    f._CHUNK_SIZE = 1 << 16
-    with f:
-        try:
-            yield f
-        except UnicodeDecodeError as e:  # the byte is in the last chunk handed on
-            line = 1 + f.buffer.line_ends - _line_ends(e.object[e.start:])
-            raise DataError(f"{path}, line {line}: byte {e.object[e.start]:#04x} is not "
-                            f"UTF-8; the whole file is rejected") from None
 
 
 def write_count_matrix(path: Path | str, m: CountMatrix) -> None:

@@ -8,6 +8,7 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -332,6 +333,99 @@ def test_cli_ingest_of_a_pipe_with_a_byte_that_is_not_utf8_exits_2_at_once(tmp_p
     assert outcome == [(2, "", f"error: {path}, line 5001: {message}")]
 
 
+def _first_bad_byte(data: bytes) -> tuple[int, int]:
+    """The physical line and the value of the first byte of `data` that is not
+    UTF-8, found on the bytes: "\n", "\r" and "\r\n" each end one line."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = data[:e.start]
+        return (1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n"),
+                data[e.start])
+    raise AssertionError("no byte that is not UTF-8")
+
+
+# A byte that is not UTF-8 alone, a sequence cut short, an encoded
+# surrogate and a code point past U+10FFFF.
+_BAD_BYTES = st.sampled_from([b"\xa3", b"\x80", b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80",
+                              b"\xf4\x90\x80\x80"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_rows=st.integers(1, 40), line_end=st.sampled_from([b"\n", b"\r\n", b"\r"]),
+       quoted_at=st.integers(0, 60), accented_at=st.integers(0, 60), bad=_BAD_BYTES,
+       block_chars=st.sampled_from([1, 20, 50, ingest._BLOCK_CHARS]), data=st.data())
+def test_a_byte_that_is_not_utf8_is_named_with_its_line(n_rows, line_end, quoted_at,
+                                                         accented_at, bad, block_chars, data):
+    """`ingest` of raw records and `read_count_matrix` of a count table both
+    name the line and the byte that the bytes themselves give, with a quoted
+    id or a valid non-ASCII id, before or after the bad byte, moving the
+    rest of the file onto the csv path."""
+    def table(header, row):
+        rows = [row(i).encode() for i in range(n_rows)]
+        if quoted_at < n_rows:
+            rows[quoted_at] = b'"' + rows[quoted_at].replace(b",", b'",', 1)
+        if accented_at < n_rows:
+            rows[accented_at] = rows[accented_at].replace(b"L", "Lé".encode(), 1)
+        text = line_end.join([header.encode(), *rows]) + line_end
+        at = data.draw(st.integers(0, len(text)))
+        return text[:at] + bad + text[at:]
+
+    raw = table(HEADER, lambda i: f"L{i},51.0,-0.1,{7 + i % 12},{i}")
+    counts = table("location_id,latitude,longitude,h07", lambda i: f"L{i},50,0,{i}")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, text in (("raw.csv", raw), ("counts.csv", counts)):
+            (tmp / name).write_bytes(text)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+            line, byte = _first_bad_byte(raw)
+            message = f"line {line}: byte {byte:#04x} is not UTF-8; the whole file is rejected"
+            assert cli_ingest(tmp / "raw.csv", tmp / "out") == (
+                2, "", f"error: {tmp / 'raw.csv'}, {message}\n")
+
+            line, byte = _first_bad_byte(counts)
+            with pytest.raises(DataError) as excinfo:
+                tio.read_count_matrix(tmp / "counts.csv")
+            assert str(excinfo.value) == (f"{tmp / 'counts.csv'}, line {line}: byte {byte:#04x} "
+                                          f"is not UTF-8; the whole file is rejected")
+
+
+@pytest.mark.parametrize("char, what", [
+    ("\ud800", "character U+D800 is not valid text"),
+    ("\udc7f", "character U+DC7F is not valid text"),
+    ("\udc80", "byte 0x80 is not UTF-8"),
+    ("\udcff", "byte 0xff is not UTF-8"),
+    ("\udfff", "character U+DFFF is not valid text"),
+])
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "csv"])
+def test_a_lone_surrogate_in_text_is_a_data_error_naming_its_line(char, what, quoted):
+    """No UTF-8 text holds a lone surrogate, so a str or a stream holding one
+    is rejected, as a file holding a byte that is not UTF-8 is: U+DC80..U+DCFF
+    is such a byte as errors="surrogateescape" keeps it, any other is named
+    as a character. A quoted id on line 2 puts the surrogate on the csv path."""
+    first = '"L1",51,0,7,5' if quoted else "L1,51,0,7,5"
+    text = "\n".join([HEADER, first, "L2,51,0,7,5", f"L{char},51,0,7,5", "L4,51,0,7,5", ""])
+    for block_chars in (ingest._BLOCK_CHARS, 1):
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+            for stream in (text, io.StringIO(text)):
+                with pytest.raises(DataError) as excinfo:
+                    parse_records(stream)
+                assert str(excinfo.value) == f"line 4: {what}; the whole file is rejected"
+
+
+def test_a_caller_who_opens_with_surrogateescape_gets_the_data_error(tmp_path):
+    """A file opened as `io.read_text` opens it gives parse_records' DataError;
+    opened with strict decoding, it raises UnicodeDecodeError."""
+    path = tmp_path / "bad.csv"
+    path.write_bytes(f"{HEADER}\r\nL1,51,0,7,5\r\nL\xa3,51,0,7,5\r\n".encode("latin-1"))
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
+        with pytest.raises(DataError) as excinfo:
+            parse_records(f)
+    assert str(excinfo.value) == "line 3: byte 0xa3 is not UTF-8; the whole file is rejected"
+    with open(path, newline="", encoding="utf-8") as f, pytest.raises(UnicodeDecodeError):
+        parse_records(f)
+
+
 def test_build_matrix_takes_coordinates_from_the_first_record_of_the_first_cell():
     """A location's coordinates come from its earliest hour; there, from the
     smallest count, then the smallest latitude, then the smallest longitude."""
@@ -611,6 +705,15 @@ def _reference(reader, schema, label, window):
             raise ValueError(raw)
         return int(v)
 
+    def as_count(raw):
+        # Whole by its text, exactly: float() rounds 4503599627370496.5 to a
+        # whole number.
+        v = as_int(raw)
+        exact = Decimal(raw)
+        if exact != exact.to_integral_value():
+            raise ValueError(raw)
+        return v
+
     records, rejections, n_rows = [], RejectionSummary(), 0
     for row in reader:
         n_rows += 1
@@ -618,7 +721,7 @@ def _reference(reader, schema, label, window):
         try:
             loc = (row[schema.location_id] or "").strip()
             lat, lon = float(row[schema.latitude]), float(row[schema.longitude])
-            count = as_int(row[schema.count])
+            count = as_count(row[schema.count])
         except (TypeError, ValueError):
             rejections.add(line_no, "malformed")
             continue
@@ -689,7 +792,9 @@ _FIELDS = {
     "hour": _mostly(st.one_of(st.integers(0, 23).map(str), st.sampled_from(["7.0", "-0", " 9 "])),
                     st.sampled_from(["24", "-1", "7.5", "nan", "inf", "", "seven"])),
     "count": _mostly(
-        st.one_of(st.integers(0, 600).map(str), st.integers(2**52, 2**60).map(str),
+        st.one_of(st.integers(0, 600).map(str),
+                  st.builds(str.format, st.sampled_from(["{}", "{}.0", "{}.5", "{}0e-1", "{}5e-1"]),
+                            st.integers(2**52, 2**60)),
                   st.sampled_from(["7.0", "-0", "1e20"])),
         st.sampled_from(["-3", "-12", "2.5", "nan", "inf", "", "many"])),
 }

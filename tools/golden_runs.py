@@ -73,6 +73,12 @@ CASES = [
     # One cell sums past 2**53, which float64 cannot sum exactly.
     ("ingest-cell-2-53", ["ingest", "--input-a", "inputs/cell_2_53.csv"], False),
     ("rank-scan", ["rank-scan", "--input-a", "inputs/counts_A.csv", "--ranks", "2..10"], False),
+    # A byte that is not UTF-8: in plain rows, after the switch to csv in a
+    # file with "\r\n" line ends, and in a count table.
+    ("ingest-bad-byte-plain", ["ingest", "--input-a", "inputs/bad_byte_A.csv"], False),
+    ("run-bad-byte-csv-crlf-b", ["run", "--input-a", "inputs/synth800/synth_A.csv",
+                                 "--input-b", "inputs/bad_byte_crlf_B.csv"], False),
+    ("rank-scan-bad-byte", ["rank-scan", "--input-a", "inputs/bad_byte_counts_A.csv"], False),
     ("factorize", ["factorize", "--input-a", "inputs/counts_A.csv", "--rank-a", "5",
                    "--init", "nndsvd"], False),
 ]
@@ -109,6 +115,20 @@ def make_inputs(src: Path, root: Path) -> None:
     (inputs / "quoted_A.csv").write_text("\n".join(quoted) + "\n", encoding="utf-8")
     big = [header] + [f"L1,51.0,-0.1,7,{count}" for count in (2**53, 1, 1)]
     (inputs / "cell_2_53.csv").write_text("\n".join(big) + "\n", encoding="utf-8")
+    # Byte 0xa3, a pound sign in cp1252, after an id: on line 501 of A; on
+    # line 4001 of B with "\r\n" line ends, a quoted id on line 2 having moved
+    # the file onto csv; on line 301 of A's count table.
+    bad = [line.encode() for line in [header, *rows]]
+    bad[500] = bad[500].replace(b",", b"\xa3,", 1)
+    (inputs / "bad_byte_A.csv").write_bytes(b"\n".join(bad) + b"\n")
+    header_b, *rows_b = (inputs / "synth800" / "synth_B.csv").read_bytes().splitlines()
+    loc_id, rest = rows_b[0].split(b",", 1)
+    bad = [header_b, b'"' + loc_id + b'",' + rest, *rows_b[1:]]
+    bad[4000] = bad[4000].replace(b",", b"\xa3,", 1)
+    (inputs / "bad_byte_crlf_B.csv").write_bytes(b"\r\n".join(bad) + b"\r\n")
+    bad = (inputs / "counts_A.csv").read_bytes().splitlines()
+    bad[300] = bad[300].replace(b",", b"\xa3,", 1)
+    (inputs / "bad_byte_counts_A.csv").write_bytes(b"\n".join(bad) + b"\n")
 
     sys.dont_write_bytecode = True  # leave no __pycache__ in either tree
     sys.path[:0] = [str(src), str(REPO / "perfbench")]
