@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 # command runs, not the synthetic generator, rank selection or patterns.
 _HOME = {
     "ColumnMapping": "ingest",
-    "ClusterAssignment": "rank",
     "ComparisonReport": "patterns",
     "ConfigError": "errors",
     "CountMatrix": "ingest",
@@ -42,7 +41,6 @@ _HOME = {
     "TrafficNmfError": "errors",
     "TrafficRecord": "ingest",
     "ZeroTotalError": "errors",
-    "assign_clusters": "rank",
     "between_dispersion": "rank",
     "build_matrix": "ingest",
     "calinski_harabasz": "rank",

@@ -535,15 +535,17 @@ class _Aggregate:
 
     def matrix(self, period_label: str) -> CountMatrix:
         """The count matrix of the locations with a record inside the window,
-        rows sorted by id. EmptyInputError if there are none; DataError,
-        naming the location and hour, if a cell's sum reaches 2**53, past
-        which float64 no longer holds every whole number."""
+        rows sorted by id. EmptyInputError if there are none, naming the
+        hour window only if a record was added; DataError, naming the
+        location and hour, if a cell's sum reaches 2**53, past which float64
+        no longer holds every whole number."""
         ids = list(self.codes)
         # Sorting the ids in Python keeps str ordering exact; numpy's
         # fixed-width strings would drop trailing NULs.
         rows = sorted(np.flatnonzero(self.candidate[:, 0] < 24).tolist(), key=ids.__getitem__)
         if not rows:
-            raise EmptyInputError("no records inside the hour window")
+            raise EmptyInputError("no records inside the hour window" if self.records
+                                  else "no valid records")
         values = self.sums.reshape(len(self.candidate), -1)[rows]
         if len(big := np.argwhere(values >= 2**53)):
             i, j = big[0]

@@ -99,11 +99,11 @@ def read_count_matrix(path: Path | str, period_label: str | None = None) -> Coun
     The period label defaults to the file stem since the table itself does
     not carry one. Location ids are stripped, as raw records' are. Raises
     DataError, naming the file and line, on a byte that is not UTF-8, a
-    line csv cannot split, an hour column other than h followed by an hour
-    0..23 or a repeated one, and at the first row with the wrong number of
-    cells, an empty location id or a non-numeric cell; then on a repeated
-    location id, coordinates out of range or a negative count. NaN and
-    infinite counts are left for the solver to reject.
+    line csv cannot split, no hour column, an hour column other than h
+    followed by an hour 0..23 or a repeated one, and at the first row with
+    the wrong number of cells, an empty location id or a non-numeric cell;
+    then on a repeated location id, coordinates out of range or a negative
+    count. NaN and infinite counts are left for the solver to reject.
     """
     path = Path(path)
     hours: list[int] = []
@@ -113,6 +113,8 @@ def read_count_matrix(path: Path | str, period_label: str | None = None) -> Coun
             raise DataError(f"{path} is empty")
         if header[:3] != _LOCATION_HEADER:
             raise DataError(f"{path} is not a count-matrix table (header {header[:3]})")
+        if len(header) == 3:
+            raise DataError(f"{path}, line 1: no hour column")
         for name in header[3:]:
             digits = name[1:]
             # isdigit alone would pass "²", which int() rejects.

@@ -1,10 +1,11 @@
 """Rank selection via cluster-dispersion measures.
 
-Rows of a factor matrix are hard-clustered by their dominant loading
-(argmax over pattern columns). Candidate ranks are then scored with
-within-cluster dispersion, between-cluster dispersion, and their
-Calinski-Harabasz ratio (Calinski & Harabasz, 1974); the scan recommends
-the rank with the highest finite ratio.
+The dispersion functions take points and one integer cluster label per
+point. The scan labels each location by its dominant loading, the argmax
+over the location factor's pattern columns, ties to the lowest column,
+and scores candidate ranks with within-cluster dispersion,
+between-cluster dispersion, and their Calinski-Harabasz ratio (Calinski
+& Harabasz, 1974); it recommends the rank with the highest finite ratio.
 """
 
 from __future__ import annotations
@@ -18,18 +19,6 @@ import numpy as np
 from .errors import DegenerateClusteringError, InvalidRankError, NumericalError, TrafficNmfError
 from .ingest import NormalizedMatrix
 from .nmf import FactorPair, NmfConfig, factorize
-
-
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """Hard cluster labels for the rows of a factor matrix.
-
-    k counts the factor columns; some clusters may be empty when a column
-    is never any row's maximum.
-    """
-
-    labels: np.ndarray
-    k: int
 
 
 @dataclass(frozen=True)
@@ -56,75 +45,64 @@ class RankScanResult:
     skipped: dict[int, str]
 
 
-def assign_clusters(factor: np.ndarray) -> ClusterAssignment:
-    """Assign each row to the column index of its maximum loading.
-
-    Ties break toward the lowest column index (np.argmax convention).
-    """
-    factor = np.asarray(factor)
-    if factor.ndim != 2 or factor.shape[1] < 1:
-        raise ValueError(f"factor must be a 2-d matrix with >=1 column, got shape {factor.shape}")
-    labels = np.argmax(factor, axis=1)
-    return ClusterAssignment(labels=labels, k=factor.shape[1])
-
-
-def within_dispersion(points: np.ndarray, assignment: ClusterAssignment) -> float:
+def within_dispersion(points: np.ndarray, labels: np.ndarray) -> float:
     """Summed squared distance of every point to its own cluster centroid.
 
-    Trace of the pooled within-cluster scatter matrix. Empty clusters
-    contribute zero.
+    Trace of the pooled within-cluster scatter matrix.
     """
-    return _dispersions(points, assignment)[0]
+    return _dispersions(points, labels)[0]
 
 
-def between_dispersion(points: np.ndarray, assignment: ClusterAssignment) -> float:
+def between_dispersion(points: np.ndarray, labels: np.ndarray) -> float:
     """Size-weighted squared distance of cluster centroids to the global centroid.
 
     Trace of the between-cluster scatter matrix.
     """
-    return _dispersions(points, assignment)[1]
+    return _dispersions(points, labels)[1]
 
 
-def calinski_harabasz(points: np.ndarray, assignment: ClusterAssignment) -> float:
-    """(B / (k - 1)) / (W / (n - k)) with k the number of populated clusters.
+def calinski_harabasz(points: np.ndarray, labels: np.ndarray) -> float:
+    """(B / (k - 1)) / (W / (n - k)) with k the number of distinct labels.
 
     Returns positive infinity when the within-dispersion is exactly zero.
     Raises DegenerateClusteringError for k < 2 or n <= k.
     """
-    w, b, k_eff = _dispersions(points, assignment)
-    return _ch_score(w, b, k_eff, len(assignment.labels))
+    w, b, k = _dispersions(points, labels)
+    return _ch_score(w, b, k, len(labels))
 
 
-def _dispersions(points: np.ndarray, assignment: ClusterAssignment) -> tuple[float, float, int]:
-    """Within and between dispersion and the number of populated clusters.
+def _dispersions(points: np.ndarray, labels: np.ndarray) -> tuple[float, float, int]:
+    """Within and between dispersion and the number of distinct labels.
 
-    One pass over the populated clusters, each centroid computed once.
+    One pass over the clusters in ascending label order, each centroid
+    computed once. ValueError unless labels hold one integer per point.
     """
-    points = np.asarray(points, dtype=float)
-    _check_coverage(points, assignment)
+    points, labels = np.asarray(points, dtype=float), np.asarray(labels)
+    if labels.shape != points.shape[:1] or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be one integer per point: labels have shape "
+                         f"{labels.shape} and dtype {labels.dtype}, points have shape "
+                         f"{points.shape}")
     global_centroid = points.mean(axis=0)
     within = between = 0.0
-    k_eff = 0
-    for g in range(assignment.k):
-        members = points[assignment.labels == g]
-        n_g = members.shape[0]
-        if n_g == 0:
-            continue
-        k_eff += 1
+    # Not np.unique: called without return_index, it imports numpy.ma, 1.7 MB
+    # and about 10 ms in every process that scans.
+    clusters = sorted(set(labels.tolist()))
+    for g in clusters:
+        members = points[labels == g]
         centroid = members.mean(axis=0)
         within += float(((members - centroid) ** 2).sum())
-        between += n_g * float(((centroid - global_centroid) ** 2).sum())
-    return within, between, k_eff
+        between += members.shape[0] * float(((centroid - global_centroid) ** 2).sum())
+    return within, between, len(clusters)
 
 
-def _ch_score(w: float, b: float, k_eff: int, n: int) -> float:
-    if k_eff < 2:
-        raise DegenerateClusteringError(f"need >=2 populated clusters, got {k_eff}")
-    if n <= k_eff:
-        raise DegenerateClusteringError(f"need more points ({n}) than clusters ({k_eff})")
+def _ch_score(w: float, b: float, k: int, n: int) -> float:
+    if k < 2:
+        raise DegenerateClusteringError(f"need >=2 populated clusters, got {k}")
+    if n <= k:
+        raise DegenerateClusteringError(f"need more points ({n}) than clusters ({k})")
     if w == 0.0:
         return math.inf
-    return (b / (k_eff - 1)) / (w / (n - k_eff))
+    return (b / (k - 1)) / (w / (n - k))
 
 
 def rank_scan(x: NormalizedMatrix | np.ndarray, ranks: Iterable[int],
@@ -142,13 +120,15 @@ def rank_scan(x: NormalizedMatrix | np.ndarray, ranks: Iterable[int],
     by ascending rank, one per distinct rank. The recommendation is the
     rank with the highest finite Calinski-Harabasz score.
 
-    Raises InvalidRankError when no candidate rank is at most min(n, m);
-    ranks above it are skipped when some candidate fits.
+    Raises InvalidRankError when there is no candidate rank or none is at
+    most min(n, m); ranks above it are skipped when some candidate fits.
     """
     data = x.values if isinstance(x, NormalizedMatrix) else np.asarray(x, dtype=float)
     ranks = list(ranks)
     max_rank = min(data.shape)
-    if ranks and min(ranks) > max_rank:
+    if not ranks:
+        raise InvalidRankError("no candidate ranks")
+    if min(ranks) > max_rank:
         raise InvalidRankError(
             f"every candidate rank {ranks} exceeds min matrix dimension {max_rank}")
     outcomes: dict[int, FactorPair | TrafficNmfError] = {}
@@ -174,9 +154,9 @@ def _score(outcomes: dict[int, FactorPair | TrafficNmfError]) -> RankScanResult:
         if isinstance(outcome, TrafficNmfError):
             skipped[rank] = str(outcome)
             continue
-        w_d, b_d, k_eff = _dispersions(outcome.w, assign_clusters(outcome.w))
+        w_d, b_d, k = _dispersions(outcome.w, np.argmax(outcome.w, axis=1))
         try:
-            ch = _ch_score(w_d, b_d, k_eff, outcome.w.shape[0])
+            ch = _ch_score(w_d, b_d, k, outcome.w.shape[0])
         except DegenerateClusteringError:
             ch = math.nan
         entries.append(RankScanEntry(
@@ -207,13 +187,3 @@ def _recommend(entries: list[RankScanEntry]) -> int:
         return max(finite, key=lambda e: e.ch_score).rank
     return next((e.rank for e in entries if e.ch_score == math.inf), entries[0].rank)
 
-
-def _check_coverage(points: np.ndarray, assignment: ClusterAssignment) -> None:
-    if points.shape[0] != assignment.labels.shape[0]:
-        raise ValueError(
-            f"assignment covers {assignment.labels.shape[0]} rows, "
-            f"points has {points.shape[0]}"
-        )
-    labels = assignment.labels
-    if labels.size and (labels.min() < 0 or labels.max() >= assignment.k):
-        raise ValueError("label out of range for k")

@@ -22,7 +22,7 @@ from trafficnmf.patterns import (
     extract_patterns,
     match_patterns,
 )
-from trafficnmf.rank import ClusterAssignment, between_dispersion, calinski_harabasz, rank_scan, within_dispersion
+from trafficnmf.rank import between_dispersion, calinski_harabasz, rank_scan, within_dispersion
 from trafficnmf.synth import SyntheticSpec, generate_period
 
 from test_ingest import records_matrix
@@ -138,9 +138,8 @@ def test_criterion_5_dispersion_correctness():
             k = int(rng.integers(1, n))
             points = rng.normal(0.0, 5.0, size=(n, d))
             labels = rng.integers(0, k, size=n)
-            a = ClusterAssignment(labels=labels, k=k)
-            w = within_dispersion(points, a)
-            b = between_dispersion(points, a)
+            w = within_dispersion(points, labels)
+            b = between_dispersion(points, labels)
             total = total_scatter(points)
             assert abs((w + b) - total) <= 1e-8 * max(total, 1.0)
 
@@ -150,8 +149,7 @@ def test_criterion_5_dispersion_correctness():
             labels = rng.integers(0, 3, size=20)
             if len(set(labels.tolist())) < 2:
                 labels[0], labels[1] = 0, 1
-            a = ClusterAssignment(labels=labels, k=3)
-            mine = calinski_harabasz(points, a)
+            mine = calinski_harabasz(points, labels)
             oracle = ch_bruteforce(points, labels)
             assert abs(mine - oracle) <= 1e-9 * abs(oracle)
 

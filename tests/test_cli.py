@@ -199,7 +199,9 @@ HEADER = "count_point_id,latitude,longitude,hour,all_motor_vehicles\n"
     (HEADER + "L1,50,0,8," + "9" * (csv.field_size_limit() + 1) + "\n",
      ", line 2: field larger than field limit"),
     (HEADER + "L1,50,0,3,10\n", ": no records inside the hour window"),
-], ids=["empty", "header-only", "missing-column", "unsplittable", "outside-the-window"])
+    (HEADER + "L1,50,0,8,-1\nL2,50,0,25,10\n", ": no valid records"),
+], ids=["empty", "header-only", "missing-column", "unsplittable", "outside-the-window",
+        "every-row-rejected"])
 def test_parse_error_names_its_input(tmp_path, synth_pair, capsys, command, text, message):
     # Period B's file fails to parse; the error says which file it was, once.
     raw_a, _ = synth_pair
@@ -238,6 +240,16 @@ def test_factorize_table_with_a_column_that_names_no_hour_exits_2(tmp_path, caps
     assert code == 2
     assert f"error: {table}, line 1: unexpected hour column {hour!r}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "A_time_loadings.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["rank-scan"], ["factorize", "--rank-a", "1"]],
+                         ids=["rank-scan", "factorize"])
+def test_table_with_no_hour_column_exits_2_naming_the_file(tmp_path, capsys, command):
+    table = tmp_path / "bad.csv"
+    table.write_text("location_id,latitude,longitude\nL1,50,0\nL2,51,0\n")
+    code = run_cli(*command, "--input-a", str(table), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {table}, line 1: no hour column\n"
 
 
 def test_rank_scan_without_fitting_rank_exits_1(tmp_path, capsys):

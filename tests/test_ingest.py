@@ -298,9 +298,10 @@ def test_cli_ingest_of_a_pipe_whose_cell_reaches_2_53_exits_2(tmp_path):
 def test_cli_ingest_of_a_pipe_with_a_byte_that_is_not_utf8_exits_2_at_once(tmp_path, newline):
     """A pipe is not opened again to find the line of the bad byte: it gives
     the file's DataError, its line counted from what was read. The writer
-    sends a few bytes at a time, so that line ends fall across reads; the
-    file is read in 64 KiB chunks, and with "\r\n" one is split between
-    its first two."""
+    sends a few bytes at a time, so that line ends fall across reads. With
+    "\r\n", one line end straddles byte 2**16, so the text layer, which
+    reads a regular file in chunks whose size divides 2**16, gets its "\r"
+    and its "\n" in two reads."""
     rows = [HEADER.encode()] + [f"L{i},51.0,-0.1,7,{i}".encode() for i in range(1, 6000)]
     rows[5000] = b"L\xa3" + rows[5000]  # line 5001, past the first chunk
     if newline == "\r\n":

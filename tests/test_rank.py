@@ -7,11 +7,9 @@ import pytest
 from trafficnmf import io as tio
 from trafficnmf.errors import DegenerateClusteringError, InvalidRankError, NumericalError
 from trafficnmf.ingest import minmax_normalize
-from trafficnmf.nmf import NmfConfig, factorize
+from trafficnmf.nmf import FactorPair, NmfConfig, factorize
 from trafficnmf.rank import (
-    ClusterAssignment,
     _score,
-    assign_clusters,
     between_dispersion,
     calinski_harabasz,
     rank_scan,
@@ -26,7 +24,7 @@ from test_ingest import records_matrix
 # from its centroid (W = 4), each centroid 2 away from the global one
 # weighted by 2 points (B = 16), total scatter 20, CH = (16/1)/(4/2) = 8.
 FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 2.0], [4.0, 0.0], [4.0, 2.0]])
-FOUR_LABELS = ClusterAssignment(labels=np.array([0, 0, 1, 1]), k=2)
+FOUR_LABELS = np.array([0, 0, 1, 1])
 
 
 def total_scatter(points):
@@ -56,28 +54,46 @@ def ch_bruteforce(points, labels):
     return (b / (k - 1)) / (w / (n - k))
 
 
-def test_assign_clear_argmax():
-    a = assign_clusters(np.array([[0.9, 0.1]]))
-    assert a.labels.tolist() == [0]
+def scan_entry(w):
+    """The scan's entry for a solve whose location factor is w."""
+    w = np.asarray(w, dtype=float)
+    pair = FactorPair(w=w, h=np.ones((w.shape[1], 2)), objective_trace=[1.0],
+                      iterations_run=1, converged=True)
+    entry, = _score({w.shape[1]: pair}).entries
+    return entry
 
 
-def test_assign_tie_breaks_low_index():
-    a = assign_clusters(np.array([[0.5, 0.5]]))
-    assert a.labels.tolist() == [0]
+def scored_as(w, labels):
+    """Whether the scan's entry for w is that of these cluster labels."""
+    entry = scan_entry(w)
+    return ((entry.within_dispersion, entry.between_dispersion)
+            == (within_dispersion(w, labels), between_dispersion(w, labels)))
 
 
 def test_assign_rowwise():
-    a = assign_clusters(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]]))
-    assert a.labels.tolist() == [0, 1, 0]
-    assert a.k == 2
+    # Each location joins the column of its largest loading; a column that
+    # no location's largest loading is in forms no cluster.
+    w = [[0.9, 0.1], [1.0, 0.0], [0.0, 2.0], [3.0, 1.0]]
+    assert scored_as(w, [0, 0, 1, 0])
+    assert not scored_as(w, [0, 0, 1, 1])
+    assert scan_entry(w).ch_score == calinski_harabasz(w, [0, 0, 1, 0])
+    assert scored_as([[1.0, 0.0, 0.0], [2.0, 0.0, 1.0], [0.0, 0.0, 5.0]], [0, 0, 2])
+
+
+def test_assign_tie_breaks_low_index():
+    # The tied row [0.5, 0.5] joins column 0, not column 1.
+    w = [[1.0, 0.0], [0.9, 0.0], [0.5, 0.5], [0.0, 1.0], [0.0, 0.9]]
+    assert scored_as(w, [0, 0, 0, 1, 1])
+    assert not scored_as(w, [0, 0, 1, 1, 1])
 
 
 def test_assign_scale_invariance():
-    rng = np.random.default_rng(5)
-    factor = rng.random((30, 4))
-    base = assign_clusters(factor)
+    # Scaling W scales each point's coordinates, not its cluster.
+    factor = np.random.default_rng(5).random((30, 4))
+    labels = np.argmax(factor, axis=1)
+    assert len(set(labels.tolist())) == 4
     for scale in (0.01, 3.0, 1e6):
-        assert np.array_equal(assign_clusters(factor * scale).labels, base.labels)
+        assert scored_as(factor * scale, labels)
 
 
 def test_four_point_worked_example():
@@ -89,51 +105,50 @@ def test_four_point_worked_example():
 
 def test_singleton_clusters_have_zero_within():
     points = np.arange(8.0).reshape(4, 2)
-    a = ClusterAssignment(labels=np.arange(4), k=4)
-    assert within_dispersion(points, a) == 0.0
+    assert within_dispersion(points, np.arange(4)) == 0.0
 
 
-def test_labels_outside_0_to_k_are_rejected():
-    for labels in ([0, 0, 1, 2], [0, -1, 1, 1]):
-        bad = ClusterAssignment(labels=np.array(labels), k=2)
-        with pytest.raises(ValueError, match="label out of range"):
-            calinski_harabasz(FOUR_POINTS, bad)
+def test_labels_that_are_not_one_integer_per_point_are_rejected():
+    for labels, shape in (([[0], [0], [1], [1]], "(4, 1)"), ([0.0, 0.5, 1.0, 1.0], "(4,)"),
+                          ([0, 0, 1], "(3,)"), ([0, 0, 1, 1, 1], "(5,)")):
+        for function in (within_dispersion, between_dispersion, calinski_harabasz):
+            with pytest.raises(ValueError) as excinfo:
+                function(FOUR_POINTS, np.array(labels))
+            message = str(excinfo.value)
+            assert message.startswith("labels must be one integer per point")
+            assert f"labels have shape {shape}" in message
+            assert "points have shape (4, 2)" in message
 
 
 def test_identical_points_single_cluster():
     points = np.ones((5, 3))
-    a = ClusterAssignment(labels=np.zeros(5, dtype=int), k=1)
-    assert within_dispersion(points, a) == 0.0
-    assert between_dispersion(points, a) == 0.0
+    labels = np.zeros(5, dtype=int)
+    assert within_dispersion(points, labels) == 0.0
+    assert between_dispersion(points, labels) == 0.0
 
 
 def test_single_cluster_between_is_zero():
     rng = np.random.default_rng(2)
     points = rng.random((6, 3))
-    a = ClusterAssignment(labels=np.zeros(6, dtype=int), k=1)
-    assert between_dispersion(points, a) == 0.0
+    assert between_dispersion(points, np.zeros(6, dtype=int)) == 0.0
 
 
 def test_ch_degenerate_cases():
     points = np.random.default_rng(0).random((4, 2))
-    one = ClusterAssignment(labels=np.zeros(4, dtype=int), k=1)
     with pytest.raises(DegenerateClusteringError):
-        calinski_harabasz(points, one)
-    singletons = ClusterAssignment(labels=np.arange(4), k=4)
+        calinski_harabasz(points, np.zeros(4, dtype=int))
     with pytest.raises(DegenerateClusteringError):
-        calinski_harabasz(points, singletons)
+        calinski_harabasz(points, np.arange(4))
 
 
 def test_ch_zero_within_is_infinite():
     points = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [5.0, 5.0]])
-    a = ClusterAssignment(labels=np.array([0, 0, 1, 1]), k=2)
-    assert calinski_harabasz(points, a) == math.inf
+    assert calinski_harabasz(points, np.array([0, 0, 1, 1])) == math.inf
 
 
 def test_empty_clusters_reduce_effective_k():
-    # k=3 declared, one column never wins: CH must use k_eff = 2.
-    a = ClusterAssignment(labels=np.array([0, 0, 1, 1]), k=3)
-    assert calinski_harabasz(FOUR_POINTS, a) == 8.0
+    # Label 1 is unused: CH must count the 2 labels present, not 3.
+    assert calinski_harabasz(FOUR_POINTS, np.array([0, 0, 2, 2])) == 8.0
 
 
 def test_ch_separated_beats_random_split():
@@ -142,8 +157,8 @@ def test_ch_separated_beats_random_split():
     blob_a = rng.normal(0.0, 0.1, size=(5, 2))
     blob_b = rng.normal(10.0, 0.1, size=(5, 2)) + np.array([10.0, 0.0])
     points = np.vstack([blob_a, blob_b])
-    separated = ClusterAssignment(np.array([0] * 5 + [1] * 5), k=2)
-    random_split = ClusterAssignment(np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1]), k=2)
+    separated = np.array([0] * 5 + [1] * 5)
+    random_split = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
     assert calinski_harabasz(points, separated) > calinski_harabasz(points, random_split)
 
 
@@ -155,9 +170,8 @@ def test_scatter_decomposition_100_random_sets():
         k = int(rng.integers(1, n))
         points = rng.normal(0.0, 5.0, size=(n, d))
         labels = rng.integers(0, k, size=n)
-        a = ClusterAssignment(labels=labels, k=k)
-        w = within_dispersion(points, a)
-        b = between_dispersion(points, a)
+        w = within_dispersion(points, labels)
+        b = between_dispersion(points, labels)
         total = total_scatter(points)
         assert abs((w + b) - total) <= 1e-8 * max(total, 1.0)
 
@@ -169,8 +183,7 @@ def test_ch_matches_bruteforce_20_instances():
         labels = rng.integers(0, 3, size=20)
         if len(set(labels.tolist())) < 2:
             labels[0], labels[1] = 0, 1
-        a = ClusterAssignment(labels=labels, k=3)
-        mine = calinski_harabasz(points, a)
+        mine = calinski_harabasz(points, labels)
         oracle = ch_bruteforce(points, labels)
         assert abs(mine - oracle) <= 1e-9 * abs(oracle)
 
@@ -257,6 +270,12 @@ def test_score_gives_the_scan_of_outcomes_solved_anywhere(tmp_path):
     assert (tmp_path / "scan.csv").read_bytes() == (tmp_path / "scored.csv").read_bytes()
     with pytest.raises(NumericalError, match="every candidate rank failed"):
         _score({13: outcomes[13]})
+
+
+def test_rank_scan_of_no_ranks_is_an_invalid_rank_error():
+    x = np.random.default_rng(8).random((20, 4))
+    with pytest.raises(InvalidRankError, match="^no candidate ranks$"):
+        rank_scan(x, [], NmfConfig(rank=2, seed=0))
 
 
 def test_rank_scan_skips_oversize_ranks_only_when_some_fit():

@@ -73,6 +73,9 @@ CASES = [
     # One cell sums past 2**53, which float64 cannot sum exactly.
     ("ingest-cell-2-53", ["ingest", "--input-a", "inputs/cell_2_53.csv"], False),
     ("rank-scan", ["rank-scan", "--input-a", "inputs/counts_A.csv", "--ranks", "2..10"], False),
+    # Rank 1 puts every location in one cluster: its score is NaN.
+    ("rank-scan-from-1", ["rank-scan", "--input-a", "inputs/counts_A.csv", "--ranks", "1..4"],
+     False),
     # A byte that is not UTF-8: in plain rows, after the switch to csv in a
     # file with "\r\n" line ends, and in a count table.
     ("ingest-bad-byte-plain", ["ingest", "--input-a", "inputs/bad_byte_A.csv"], False),
