@@ -70,6 +70,13 @@ def scored_as(w, labels):
             == (within_dispersion(w, labels), between_dispersion(w, labels)))
 
 
+def test_assign_clear_argmax():
+    # The row [0.9, 0.1] joins column 0, its clearly largest loading.
+    w = [[0.9, 0.1], [0.0, 1.0], [1.0, 0.0], [0.1, 0.8]]
+    assert scored_as(w, [0, 1, 0, 1])
+    assert not scored_as(w, [1, 1, 0, 1])
+
+
 def test_assign_rowwise():
     # Each location joins the column of its largest loading; a column that
     # no location's largest loading is in forms no cluster.
