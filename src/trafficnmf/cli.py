@@ -15,6 +15,7 @@ import contextlib
 import gc
 import json
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 from io import StringIO
@@ -356,11 +357,11 @@ def _period(cfg: PipelineConfig, path: Path, label: str, rank: int | None,
         raise
 
 
-def _period_worker(conn, cfg: PipelineConfig, path: Path, label: str,
+def _period_worker(fd: int, cfg: PipelineConfig, path: Path, label: str,
                    rank: int | None) -> None:
     """`_period` in a worker process, its output captured so that it never
-    writes to the shared streams: sends (("ok", patterns) or ("error",
-    exception), stdout, stderr) back. Exceptions pickle `stage` with them."""
+    writes to the shared streams: pickles (("ok", patterns) or ("error",
+    exception), stdout, stderr) into the pipe `fd`; exceptions keep `stage`."""
     out, err = StringIO(), StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -371,19 +372,21 @@ def _period_worker(conn, cfg: PipelineConfig, path: Path, label: str,
 
             err.write(traceback.format_exc())
         reply = ("error", e)
-    with conn:
-        conn.send((reply, out.getvalue(), err.getvalue()))
+    with open(fd, "wb") as pipe:  # pickled whole first: one that cannot be leaves EOF
+        pipe.write(pickle.dumps((reply, out.getvalue(), err.getvalue())))
 
 
-def _receive(worker, conn, label: str) -> PatternSet:
-    """Write the worker's stdout and stderr here, then return the patterns
-    of its `_period` or raise its exception."""
+def _receive(pid: int, fd: int, label: str) -> PatternSet:
+    """Write the worker's stdout and stderr here, then return its `_period`'s
+    patterns or raise its exception; reap a worker that left no reply."""
+    with open(fd, "rb", closefd=False) as pipe:
+        data = pipe.read()
     try:
-        (status, value), out, err = conn.recv()
-    except EOFError:
-        worker.join()
+        (status, value), out, err = pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):  # no reply, or a cut one
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         raise RuntimeError(f"the worker process of period {label} exited with code "
-                           f"{worker.exitcode} without a result") from None
+                           f"{code} without a result") from None
     sys.stdout.write(out)
     sys.stderr.write(err)
     if status == "error":
@@ -415,7 +418,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     while period A runs here; otherwise B runs here after A. The outputs are
     the same either way. A failure in B is raised once A is done.
     """
-    import multiprocessing  # only `run` starts a worker; other commands skip the import
+    import signal  # only `run` stops a worker; other commands skip the import
 
     from .patterns import compare_periods, match_patterns
 
@@ -423,22 +426,31 @@ def cmd_run(args: argparse.Namespace) -> int:
     _check_labels(cfg)
     _make_out(cfg.out)
     stage = "ingest"
-    worker = conn = None
+    worker = fd = None
     try:
         path_a = _require_input(cfg.input_a, "--input-a")
         period_b = (cfg, _require_input(cfg.input_b, "--input-b"), cfg.label_b, cfg.rank_b)
         if _forks_worker():
-            ctx = multiprocessing.get_context("fork")
-            conn, child_conn = ctx.Pipe(duplex=False)
+            fd, write_fd = os.pipe()
+            worker = os.fork()
+            if worker == 0:  # the worker: it leaves by os._exit, never into the caller's
+                try:         # stack, its atexit handlers or its unflushed stdio buffers
+                    os.close(fd)
+                    _period_worker(write_fd, *period_b)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
             # With this process's copy of the write end closed, a worker that
-            # dies without replying ends the read with EOFError, not a hang.
-            with child_conn:
-                process = ctx.Process(target=_period_worker, args=(child_conn, *period_b))
-                process.start()
-            worker = process
-        patterns_a = _period(cfg, path_a, cfg.label_a, cfg.rank_a, base=True)
+            # dies without replying ends the read at EOF, not a hang.
+            os.close(write_fd)
+        try:
+            patterns_a = _period(cfg, path_a, cfg.label_a, cfg.rank_a, base=True)
+        except BaseException:
+            if worker is not None:
+                os.kill(worker, signal.SIGTERM)
+            raise
         if worker is not None:
-            patterns_b = _receive(worker, conn, cfg.label_b)
+            patterns_b = _receive(worker, fd, cfg.label_b)
         else:
             patterns_b = _period(*period_b)
 
@@ -447,18 +459,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         report = compare_periods(patterns_a, patterns_b, match)
         summary = tio.write_comparison_report(cfg.out / "report.json", cfg.out / "summary.txt",
                                               report)
-    except BaseException as e:
-        if worker is not None:
-            worker.terminate()
-        if isinstance(e, TrafficNmfError):
-            print(f"pipeline failed during {getattr(e, 'stage', stage)}; "
-                  f"outputs under {cfg.out} may be partial", file=sys.stderr)
+    except TrafficNmfError as e:
+        print(f"pipeline failed during {getattr(e, 'stage', stage)}; "
+              f"outputs under {cfg.out} may be partial", file=sys.stderr)
         raise
     finally:
         if worker is not None:
-            worker.join()
-        if conn is not None:
-            conn.close()
+            with contextlib.suppress(ChildProcessError):  # `_receive` reaps one that died
+                os.waitpid(worker, 0)
+        if fd is not None:
+            os.close(fd)
 
     print(summary, end="")
     print(f"wrote {cfg.out / 'report.json'} and {cfg.out / 'summary.txt'}")

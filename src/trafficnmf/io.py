@@ -64,8 +64,11 @@ def _write_table(path: Path | str, header: list[str], rows: Iterable[list[str]])
 
 def _location_rows(locations: list[tuple[str, float, float]],
                    values: np.ndarray) -> Iterator[list[str]]:
+    fmt = _fmt
+    if (np.abs(values) < 1e15).all() and (values == np.trunc(values)).all():
+        values, fmt = values.astype(np.int64), str  # whole, as counts are: _fmt's own text
     for (loc_id, lat, lon), row in zip(locations, values):
-        yield [loc_id, _fmt(lat), _fmt(lon), *map(_fmt, row.tolist())]
+        yield [loc_id, _fmt(lat), _fmt(lon), *map(fmt, row.tolist())]
 
 
 def _hour_rows(hours: list[int], values: np.ndarray) -> Iterator[list[str]]:

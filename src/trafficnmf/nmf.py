@@ -76,6 +76,10 @@ class NmfConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol > 0:  # also rejects NaN
             raise ValueError(f"tol must be > 0, got {self.tol}")
+        # The relative change of a non-increasing, nonnegative loss is at most
+        # 1: at a tol of 1 or more every solve would stop after one iteration.
+        if self.tol >= 1:
+            raise ValueError(f"tol must be < 1, got {self.tol}")
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.init not in (INIT_RANDOM, INIT_NNDSVD):

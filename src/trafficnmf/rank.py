@@ -120,17 +120,21 @@ def rank_scan(x: NormalizedMatrix | np.ndarray, ranks: Iterable[int],
     by ascending rank, one per distinct rank. The recommendation is the
     rank with the highest finite Calinski-Harabasz score.
 
-    Raises InvalidRankError when there is no candidate rank or none is at
-    most min(n, m); ranks above it are skipped when some candidate fits.
+    Raises InvalidRankError when there is no candidate rank, none is at
+    least 1, or none of those is at most min(n, m); the other ranks are
+    skipped when some candidate fits.
     """
     data = x.values if isinstance(x, NormalizedMatrix) else np.asarray(x, dtype=float)
     ranks = list(ranks)
     max_rank = min(data.shape)
     if not ranks:
         raise InvalidRankError("no candidate ranks")
-    if min(ranks) > max_rank:
+    positive = [r for r in ranks if r >= 1]
+    if not positive:
+        raise InvalidRankError(f"no candidate rank {ranks} is at least 1")
+    if min(positive) > max_rank:
         raise InvalidRankError(
-            f"every candidate rank {ranks} exceeds min matrix dimension {max_rank}")
+            f"every candidate rank {positive} exceeds min matrix dimension {max_rank}")
     outcomes: dict[int, FactorPair | TrafficNmfError] = {}
     for rank in dict.fromkeys(ranks):  # each distinct rank once, in the order given
         try:

@@ -1,11 +1,13 @@
 import csv
 import gc
 import json
-import multiprocessing
 import os
+import pickle
+import select
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -146,6 +148,9 @@ def test_nan_count_exits_3(tmp_path, capsys):
     (["run", "--seed", "-9"], None, "seed must be >= 0, got -9"),
     (["rank-scan", "--seed", "-5"], None, "seed must be >= 0, got -5"),
     (["factorize", "--rank-a", "2", "--seed", "-5"], None, "seed must be >= 0, got -5"),
+    (["run", "--tol", "1"], None, "tol must be < 1, got 1.0"),
+    (["run", "--tol", "inf"], None, "tol must be < 1, got inf"),
+    (["factorize", "--rank-a", "4", "--tol", "inf"], None, "tol must be < 1, got inf"),
 ])
 def test_bad_setting_exits_1_and_writes_nothing(tmp_path, synth_pair, capsys,
                                                 argv, config, message):
@@ -554,6 +559,18 @@ def take_path(monkeypatch, path):
     monkeypatch.setattr(cli, "_forks_worker", lambda: path == "fork")
 
 
+def open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+def assert_nothing_left(fds):
+    """No child of this process is left, running or unreaped, and the open
+    descriptors are `fds` again."""
+    with pytest.raises(ChildProcessError):  # not a pid: waitpid would have reaped one
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
 @pytest.mark.parametrize("tasks, cpus, forks", [
     (["4242"], {0, 1}, True),
     (["4242", "4243"], {0, 1}, False),
@@ -648,6 +665,7 @@ def test_run_prints_period_a_as_it_runs(tmp_path, synth_pair, capsys, monkeypatc
 def test_run_failure_in_period_b_exits_2_after_a(tmp_path, synth_pair, capsys, monkeypatch,
                                                  path):
     raw_a, _ = synth_pair
+    fds = open_fds()
     header_only = tmp_path / "header_only.csv"
     header_only.write_text("count_point_id,latitude,longitude,hour,all_motor_vehicles\n")
     take_path(monkeypatch, path)
@@ -661,7 +679,7 @@ def test_run_failure_in_period_b_exits_2_after_a(tmp_path, synth_pair, capsys, m
     assert {"counts_A.csv", "A_location_loadings.csv", "spatial_patterns_A.geojson"} <= set(
         p.name for p in out.iterdir())
     assert not (out / "report.json").exists()
-    assert multiprocessing.active_children() == []
+    assert_nothing_left(fds)
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -674,6 +692,7 @@ def test_run_failure_in_period_b_exits_2_after_a(tmp_path, synth_pair, capsys, m
 def test_run_failure_names_its_stage(tmp_path, synth_pair, capsys, monkeypatch, zero_a, flags,
                                      code, stage, path):
     # Every stage a package error can come from after ingest, on either path.
+    fds = open_fds()
     raw_a, raw_b = synth_pair
     if zero_a:  # every count of A is 0, so A's total is 0
         header, *rows = raw_a.read_text().splitlines()
@@ -685,7 +704,7 @@ def test_run_failure_names_its_stage(tmp_path, synth_pair, capsys, monkeypatch, 
                           "--out", str(out)) == code
     assert f"pipeline failed during {stage}; outputs under {out} may be partial\n" in (
         capsys.readouterr().err)
-    assert multiprocessing.active_children() == []
+    assert_nothing_left(fds)
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -694,6 +713,7 @@ def test_run_with_a_zero_total_period_a_stops_after_its_count_table(tmp_path, sy
     """A's zero total is known once its count matrix exists: nothing of A is
     solved, A's count table is written whole, and in this process B is never
     read. A forked B's worker is stopped wherever it has got to."""
+    fds = open_fds()
     raw_a, raw_b = synth_pair
     header, *rows = raw_a.read_text().splitlines()
     zero_a = tmp_path / "zero_a.csv"
@@ -714,7 +734,7 @@ def test_run_with_a_zero_total_period_a_stops_after_its_count_table(tmp_path, sy
     if path == "in-process":
         assert str(raw_b) not in captured.out
         assert [p.name for p in out.iterdir()] == ["counts_A.csv"]
-    assert multiprocessing.active_children() == []
+    assert_nothing_left(fds)
 
 
 @forks_with_threads
@@ -722,18 +742,58 @@ def test_run_failure_in_period_a_stops_the_worker(tmp_path, synth_pair, capsys, 
     _, raw_b = synth_pair
     table = write_count_table(tmp_path / "table.csv", [[1, 2], [3, 4]])
     for path in ("fork", "in-process"):
+        fds = open_fds()
         take_path(monkeypatch, path)
         # A count table is not raw records: A fails in ingest while B runs.
         assert run_cli_within(120, "run", "--input-a", str(table), "--input-b", str(raw_b),
                               "--out", str(tmp_path / path)) == 2, path
         assert "pipeline failed during ingest" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        assert_nothing_left(fds)
+
+
+@forks_with_threads
+def test_run_failure_in_period_a_terminates_a_worker_still_running(tmp_path, synth_pair,
+                                                                   capsys, monkeypatch):
+    _, raw_b = synth_pair
+    table = write_count_table(tmp_path / "table.csv", [[1, 2], [3, 4]])
+    fds = open_fds()
+    take_path(monkeypatch, "fork")
+    period = cli._period
+
+    def slow_b(cfg, path, label, rank, base=False):
+        if label == "B":  # in the worker, which only SIGTERM ends in time
+            time.sleep(300)
+        return period(cfg, path, label, rank, base)
+
+    monkeypatch.setattr(cli, "_period", slow_b)
+    start = time.monotonic()
+    assert run_cli_within(60, "run", "--input-a", str(table), "--input-b", str(raw_b),
+                          "--out", str(tmp_path / "out")) == 2
+    assert time.monotonic() - start < 60
+    assert "pipeline failed during ingest" in capsys.readouterr().err
+    assert_nothing_left(fds)
+
+
+@forks_with_threads
+def test_run_with_a_worker_that_dies_raises_after_a(tmp_path, synth_pair, monkeypatch):
+    raw_a, raw_b = synth_pair
+    fds = open_fds()
+    take_path(monkeypatch, "fork")
+    monkeypatch.setattr(cli, "_period_worker", lambda fd, *period: os._exit(5))
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="period B exited with code 5 without a result"):
+        run_cli_within(60, "run", "--input-a", str(raw_a), "--input-b", str(raw_b),
+                       "--rank-a", "6", "--rank-b", "4", "--out", str(out))
+    assert (out / "A_location_loadings.csv").exists()
+    assert not (out / "counts_B.csv").exists()
+    assert_nothing_left(fds)
 
 
 @pytest.mark.parametrize("path", PATHS)
 def test_run_with_a_directory_as_input_b_exits_2_naming_it(tmp_path, synth_pair, capsys,
                                                           monkeypatch, path):
     raw_a, _ = synth_pair
+    fds = open_fds()
     take_path(monkeypatch, path)
     out = tmp_path / "out"
     assert run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(tmp_path),
@@ -741,13 +801,14 @@ def test_run_with_a_directory_as_input_b_exits_2_naming_it(tmp_path, synth_pair,
     assert capsys.readouterr().err == (
         f"pipeline failed during ingest; outputs under {out} may be partial\n"
         f"error: {tmp_path} cannot be read: Is a directory\n")
-    assert multiprocessing.active_children() == []
+    assert_nothing_left(fds)
 
 
 @pytest.mark.parametrize("path", PATHS)
 def test_run_unexpected_error_in_period_b_propagates(tmp_path, synth_pair, capsys, monkeypatch,
                                                      path):
     raw_a, raw_b = synth_pair
+    fds = open_fds()
     take_path(monkeypatch, path)
     ingest = cli._ingest
 
@@ -762,23 +823,29 @@ def test_run_unexpected_error_in_period_b_propagates(tmp_path, synth_pair, capsy
                        "--rank-a", "6", "--rank-b", "4", "--out", str(tmp_path / "out"))
     if path == "fork":  # the worker's traceback is kept
         assert "Traceback" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
+    assert_nothing_left(fds)
 
 
 @forks_with_threads
 def test_worker_that_dies_without_a_result_is_an_error():
-    ctx = multiprocessing.get_context("fork")
-    conn, child_conn = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=os._exit, args=(7,))
-    worker.start()
-    child_conn.close()
-    worker.join(60)
-    assert worker.exitcode == 7
-    assert conn.poll(60)  # end of file, not a hang
-    with pytest.raises(RuntimeError, match="period B exited with code 7 without a result"):
-        cli._receive(worker, conn, "B")
-    conn.close()
-    assert multiprocessing.active_children() == []
+    fds = open_fds()
+    for reply in (b"", pickle.dumps((("ok", None), "", ""))[:-3]):  # none, and a cut one
+        fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the worker: nothing but the reply, then out
+            try:
+                os.write(write_fd, reply)
+            finally:
+                os._exit(7)
+        os.close(write_fd)
+        try:
+            assert select.select([fd], [], [], 60)[0]  # the reply's end, not a hang
+            with pytest.raises(RuntimeError,
+                               match="period B exited with code 7 without a result"):
+                cli._receive(pid, fd, "B")
+        finally:
+            os.close(fd)
+        assert_nothing_left(fds)
 
 
 def program_env():
@@ -878,17 +945,18 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, synth_pair):
         env[var] = "1"
     out = str(tmp_path)
     counts = str(tmp_path / "counts_A.csv")
+    rank, patterns, synth = "trafficnmf.rank", "trafficnmf.patterns", "trafficnmf.synth"
     # command: (argv, modules it needs, modules it must not load)
     commands = {
-        "--help": (["--help"], {"numpy", "trafficnmf.io"}, {"rank", "patterns", "synth"}),
+        "--help": (["--help"], {"numpy", "trafficnmf.io"}, {rank, patterns, synth}),
         "ingest": (["ingest", "--input-a", str(raw_a), "--out", out],
-                   {"trafficnmf.ingest", "trafficnmf.io"}, {"rank", "patterns", "synth"}),
+                   {"trafficnmf.ingest", "trafficnmf.io"}, {rank, patterns, synth}),
         "rank-scan": (["rank-scan", "--input-a", counts, "--ranks", "2..4", "--out", out],
-                      {"trafficnmf.rank"}, {"patterns", "synth"}),
+                      {rank}, {patterns, synth}),
         "factorize": (["factorize", "--input-a", counts, "--rank-a", "3", "--out", out],
-                      {"trafficnmf.nmf"}, {"rank", "patterns", "synth"}),
+                      {"trafficnmf.nmf"}, {rank, patterns, synth}),
         "run": (["run", "--input-a", str(raw_a), "--input-b", str(raw_b), "--ranks", "2..4",
-                 "--out", out], {"trafficnmf.rank", "trafficnmf.patterns"}, {"synth"}),
+                 "--out", out], {rank, patterns}, {synth, "multiprocessing"}),
     }
     for command, (argv, needed, unused) in commands.items():
         proc = program(argv, env, "-X", "importtime")
@@ -896,7 +964,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, synth_pair):
         loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                   if line.startswith("import time:")}
         assert needed <= loaded, command
-        assert not loaded & {f"trafficnmf.{name}" for name in unused}, command
+        assert not loaded & unused, command
 
 
 def test_main_with_argv_leaves_the_collector_as_it_was(tmp_path, synth_pair):

@@ -292,6 +292,23 @@ def test_fmt_integral_and_float():
     assert float(tio._fmt(1 / 3)) == 1 / 3
 
 
+_WHOLE = st.integers(-10**15 + 1, 10**15 - 1).map(float) | st.just(-0.0)
+
+
+@pytest.mark.parametrize("cells", [
+    _WHOLE, _WHOLE | st.floats() | st.sampled_from([1e15, -1e15, 0.5])], ids=["whole", "any"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_location_rows_write_every_value_as_fmt_does(cells, data):
+    # A table of whole values is written from int64 rows, any other through
+    # _fmt; the text is _fmt's either way.
+    values = np.array(data.draw(st.lists(st.lists(cells, min_size=3, max_size=3),
+                                         min_size=1, max_size=4)))
+    locations = [("L", 50.5, -0.25)] * len(values)
+    assert list(tio._location_rows(locations, values)) == [
+        ["L", "50.5", "-0.25", *map(tio._fmt, row)] for row in values.tolist()]
+
+
 def test_count_tables_and_synth_files_keep_their_own_number_formats(tmp_path):
     # Count and factor tables print integral floats without ".0" and other
     # floats as repr; synth files print every float as repr.

@@ -69,8 +69,9 @@ def test_non_finite_input_rejected(bad):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        NmfConfig(rank=2, tol=0.0)
+    for tol in (0.0, -1.0, float("nan"), 1.0, 2.0, float("inf")):
+        with pytest.raises(ValueError):
+            NmfConfig(rank=2, tol=tol)
     with pytest.raises(ValueError):
         NmfConfig(rank=2, max_iters=0)
     with pytest.raises(ValueError):

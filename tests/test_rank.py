@@ -285,6 +285,20 @@ def test_rank_scan_of_no_ranks_is_an_invalid_rank_error():
         rank_scan(x, [], NmfConfig(rank=2, seed=0))
 
 
+@pytest.mark.parametrize("ranks, message", [
+    ([0], r"^no candidate rank \[0\] is at least 1$"),
+    ([0, -1], r"^no candidate rank \[0, -1\] is at least 1$"),
+    ([0, 5], r"^every candidate rank \[5\] exceeds min matrix dimension 4$"),
+])
+def test_rank_scan_with_no_usable_rank_is_an_invalid_rank_error(ranks, message):
+    # A configuration error, not "every candidate rank failed to factorize".
+    x = np.random.default_rng(8).random((20, 4))
+    with pytest.raises(InvalidRankError, match=message):
+        rank_scan(x, ranks, NmfConfig(rank=2, seed=0))
+    assert rank_scan(x, [0, 2], NmfConfig(rank=2, seed=0)).skipped == {
+        0: "rank must be >= 1, got 0"}
+
+
 def test_rank_scan_skips_oversize_ranks_only_when_some_fit():
     x = np.random.default_rng(8).random((20, 4))
     result = rank_scan(x, range(3, 7), NmfConfig(rank=2, seed=0))

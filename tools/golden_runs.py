@@ -52,6 +52,9 @@ CASES = [
                           ("skipped", ["--ranks", "2..14"]))],
     ("run-fail-b-header-only", ["run", "--input-a", "inputs/synth800/synth_A.csv",
                                 "--input-b", "inputs/header_only.csv"], False),
+    # B's worker fails as it opens its input.
+    ("run-fail-b-directory", ["run", "--input-a", "inputs/synth800/synth_A.csv",
+                              "--input-b", "inputs"], False),
     ("run-fail-a-table", ["run", "--input-a", "inputs/counts_A.csv",
                           "--input-b", "inputs/synth800/synth_B.csv"], True),
     ("run-fail-ranks", ["run", "--input-a", "inputs/synth800/synth_A.csv",
