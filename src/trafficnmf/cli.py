@@ -17,7 +17,7 @@ import json
 import os
 import pickle
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from io import StringIO
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -102,29 +102,6 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-@dataclass
-class PipelineConfig:
-    """Resolved settings for one invocation."""
-
-    input_a: str | None
-    input_b: str | None
-    label_a: str
-    label_b: str
-    out: Path
-    seed: int
-    window: HourWindow
-    ranks: list[int]
-    rank_a: int | None
-    rank_b: int | None
-    nmf: NmfConfig
-    threshold: float
-    locations: int
-    rank: int
-    noise: float
-    pair_drop: int | None
-    pair_scale: float
-
-
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -147,11 +124,12 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(args: argparse.Namespace) -> PipelineConfig:
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Merge flags over config-file values over defaults, then convert and
-    check every value; flags win."""
+    check every value; flags win. The result holds every `_SETTINGS` key,
+    `ranks` as a list, and `window` and `nmf` made from `hours` and `_SOLVER`."""
     file_cfg = _load_config_file(getattr(args, "config", None))
-    values = {}
+    cfg = argparse.Namespace()
     for key, (convert, default, _) in _SETTINGS.items():
         value = getattr(args, key, None)
         if value is None:
@@ -161,26 +139,26 @@ def _resolve(args: argparse.Namespace) -> PipelineConfig:
         try:
             if isinstance(value, bool):  # no setting is a switch; int(True) is 1
                 raise ValueError("not a boolean setting")
-            values[key] = None if value is None else convert(value)
+            setattr(cfg, key, None if value is None else convert(value))
         except (TypeError, ValueError) as e:
             raise ConfigError(f"{_flag(key)} has a bad value {value!r}: {e}") from None
 
     try:
-        window = HourWindow(*values.pop("hours"))
+        cfg.window = HourWindow(*cfg.hours)
     except ValueError as e:
         raise ConfigError(f"--hours: {e}") from None
-    r_lo, r_hi = values.pop("ranks")
-    for key, rank in (("ranks", r_lo), ("rank_a", values["rank_a"]), ("rank_b", values["rank_b"])):
+    r_lo, r_hi = cfg.ranks
+    for key, rank in (("ranks", r_lo), ("rank_a", cfg.rank_a), ("rank_b", cfg.rank_b)):
         if rank is not None and rank < 1:
             raise ConfigError(f"{_flag(key)} must be >= 1, got {rank}")
+    cfg.ranks = list(range(r_lo, r_hi + 1))
     try:
-        nmf = NmfConfig(rank=1, max_iters=values.pop("max_iters"), tol=values.pop("tol"),
-                        seed=values["seed"], init=values.pop("init"))
+        cfg.nmf = NmfConfig(rank=1, seed=cfg.seed, **{key: getattr(cfg, key) for key in _SOLVER})
     except ValueError as e:
         raise ConfigError(f"bad solver setting: {e}") from None
-    if not (0.0 <= values["threshold"] <= 1.0):
-        raise ConfigError(f"--threshold must be in [0, 1], got {values['threshold']}")
-    return PipelineConfig(window=window, ranks=list(range(r_lo, r_hi + 1)), nmf=nmf, **values)
+    if not (0.0 <= cfg.threshold <= 1.0):
+        raise ConfigError(f"--threshold must be in [0, 1], got {cfg.threshold}")
+    return cfg
 
 
 def _require_input(path_str: str | None, flag: str) -> Path:
@@ -200,7 +178,7 @@ def _make_out(out: Path) -> None:
         raise ConfigError(f"--out {out} cannot be made a directory: {e.strerror}") from None
 
 
-def _ingest(cfg: PipelineConfig, path: Path, label: str) -> CountMatrix:
+def _ingest(cfg: argparse.Namespace, path: Path, label: str) -> CountMatrix:
     """Parse and aggregate one period's raw records in one pass; write its count table."""
     with tio.read_text(path) as f:
         try:
@@ -228,7 +206,7 @@ def _out_file(out: Path, name: str, label: str) -> Path:
     return out / name.format(_file_label(label))
 
 
-def _check_labels(cfg: PipelineConfig) -> None:
+def _check_labels(cfg: argparse.Namespace) -> None:
     # Two periods whose labels give the same file names would overwrite
     # each other's outputs.
     if _file_label(cfg.label_a) == _file_label(cfg.label_b):
@@ -236,7 +214,7 @@ def _check_labels(cfg: PipelineConfig) -> None:
                           f"give the same output file names")
 
 
-def _scan(cfg: PipelineConfig, x: NormalizedMatrix, label: str) -> tuple[RankScanResult, Path]:
+def _scan(cfg: argparse.Namespace, x: NormalizedMatrix, label: str) -> tuple[RankScanResult, Path]:
     """Scan the configured ranks, note each skipped rank on stderr, and
     write the scan table."""
     from .rank import rank_scan
@@ -249,7 +227,7 @@ def _scan(cfg: PipelineConfig, x: NormalizedMatrix, label: str) -> tuple[RankSca
     return result, scan_path
 
 
-def _prepare(cfg: PipelineConfig, path: Path, label: str, raw: bool) -> NormalizedMatrix:
+def _prepare(cfg: argparse.Namespace, path: Path, label: str, raw: bool) -> NormalizedMatrix:
     """The first step of a period: its normalized matrix, whose `source` is
     the count matrix. Raw records are ingested, and their count table is
     written; otherwise `path` is a count table, and it is read."""
@@ -257,7 +235,7 @@ def _prepare(cfg: PipelineConfig, path: Path, label: str, raw: bool) -> Normaliz
     return minmax_normalize(matrix)
 
 
-def _solve(cfg: PipelineConfig, x: NormalizedMatrix, label: str,
+def _solve(cfg: argparse.Namespace, x: NormalizedMatrix, label: str,
            rank: int | None) -> tuple[NmfConfig, FactorPair]:
     """The second step: solver settings and factorization of one period.
 
@@ -274,7 +252,7 @@ def _solve(cfg: PipelineConfig, x: NormalizedMatrix, label: str,
     return nmf_cfg, factorize(x, nmf_cfg)
 
 
-def _finish(cfg: PipelineConfig, x: NormalizedMatrix, label: str, nmf_cfg: NmfConfig,
+def _finish(cfg: argparse.Namespace, x: NormalizedMatrix, label: str, nmf_cfg: NmfConfig,
             pair: FactorPair, patterns: bool = False) -> PatternSet | None:
     """The last step: write the factor tables, and with `patterns` also
     extract the patterns, write the pattern files and return the patterns."""
@@ -332,7 +310,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _period(cfg: PipelineConfig, path: Path, label: str, rank: int | None,
+def _period(cfg: argparse.Namespace, path: Path, label: str, rank: int | None,
             base: bool = False) -> PatternSet:
     """Everything `run` does for one period: prepare, solve and finish.
 
@@ -357,7 +335,7 @@ def _period(cfg: PipelineConfig, path: Path, label: str, rank: int | None,
         raise
 
 
-def _period_worker(fd: int, cfg: PipelineConfig, path: Path, label: str,
+def _period_worker(fd: int, cfg: argparse.Namespace, path: Path, label: str,
                    rank: int | None) -> None:
     """`_period` in a worker process, its output captured so that it never
     writes to the shared streams: pickles (("ok", patterns) or ("error",
@@ -416,17 +394,23 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     When `_forks_worker` says so, period B runs in a forked worker process
     while period A runs here; otherwise B runs here after A. The outputs are
-    the same either way. A failure in B is raised once A is done.
+    the same either way. A failure in B is raised once A is done. While the
+    worker runs, a SIGTERM to this process, in the main thread, stops the
+    worker too, and this process then exits with code 143 (128 + SIGTERM).
     """
     import signal  # only `run` stops a worker; other commands skip the import
+    import threading
 
     from .patterns import compare_periods, match_patterns
+
+    def exit_on_sigterm(signum, frame):
+        raise SystemExit(128 + signum)
 
     cfg = _resolve(args)
     _check_labels(cfg)
     _make_out(cfg.out)
     stage = "ingest"
-    worker = fd = None
+    worker = fd = previous = None
     try:
         path_a = _require_input(cfg.input_a, "--input-a")
         period_b = (cfg, _require_input(cfg.input_b, "--input-b"), cfg.label_b, cfg.rank_b)
@@ -438,17 +422,18 @@ def cmd_run(args: argparse.Namespace) -> int:
                     os.close(fd)
                     _period_worker(write_fd, *period_b)
                     os._exit(0)
+                except BaseException:  # e.g. a reply that cannot be pickled
+                    import traceback
+
+                    os.write(2, traceback.format_exc().encode(errors="backslashreplace"))
                 finally:
                     os._exit(1)
             # With this process's copy of the write end closed, a worker that
             # dies without replying ends the read at EOF, not a hang.
             os.close(write_fd)
-        try:
-            patterns_a = _period(cfg, path_a, cfg.label_a, cfg.rank_a, base=True)
-        except BaseException:
-            if worker is not None:
-                os.kill(worker, signal.SIGTERM)
-            raise
+            if threading.current_thread() is threading.main_thread():  # as signal requires
+                previous = signal.signal(signal.SIGTERM, exit_on_sigterm)
+        patterns_a = _period(cfg, path_a, cfg.label_a, cfg.rank_a, base=True)
         if worker is not None:
             patterns_b = _receive(worker, fd, cfg.label_b)
         else:
@@ -466,7 +451,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     finally:
         if worker is not None:
             with contextlib.suppress(ChildProcessError):  # `_receive` reaps one that died
-                os.waitpid(worker, 0)
+                if os.waitpid(worker, os.WNOHANG)[0] == 0:  # running: A failed, SIGTERM
+                    os.kill(worker, signal.SIGTERM)         # came, or it is just leaving
+                    os.waitpid(worker, 0)
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
         if fd is not None:
             os.close(fd)
 
@@ -499,14 +488,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
-    manifest: dict = {
-        "n_locations": spec.n_locations,
-        "n_hours": spec.n_hours,
-        "planted_rank": spec.planted_rank,
-        "noise_level": spec.noise_level,
-        "seed": spec.seed,
-        "hours": cfg.window.hours(),
-    }
+    manifest: dict = {**asdict(spec), "hours": cfg.window.hours()}
     if cfg.pair_drop is not None:
         manifest["pair"] = {
             "drop": cfg.pair_drop,
@@ -541,7 +523,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_SOLVER = ("tol", "max_iters", "init")
+_SOLVER = ("tol", "max_iters", "init")  # settings named as NmfConfig's fields
 
 # (command, handler, help, settings beyond --config, --out, --seed and --hours)
 _COMMANDS = (
@@ -592,15 +574,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, DataError, NumericalError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except NumericalError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return e.exit_code
 
 
 if __name__ == "__main__":

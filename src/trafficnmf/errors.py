@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-Grouped so the CLI can map failures onto exit codes: configuration
-problems exit 1, data problems exit 2, numerical problems exit 3.
+Grouped so the CLI can map failures onto exit codes, each group's
+`exit_code`: configuration problems exit 1, data problems exit 2,
+numerical problems exit 3.
 """
 
 
@@ -10,15 +11,21 @@ class TrafficNmfError(Exception):
 
 
 class ConfigError(TrafficNmfError):
-    """Invalid configuration or usage (CLI exit code 1)."""
+    """Invalid configuration or usage."""
+
+    exit_code = 1
 
 
 class DataError(TrafficNmfError):
-    """Input data cannot be used as requested (CLI exit code 2)."""
+    """Input data cannot be used as requested."""
+
+    exit_code = 2
 
 
 class NumericalError(TrafficNmfError):
-    """A numerical routine received or produced invalid values (CLI exit code 3)."""
+    """A numerical routine received or produced invalid values."""
+
+    exit_code = 3
 
 
 class MissingInputError(DataError):

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 from collections.abc import Iterable, Iterator
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
@@ -194,13 +195,7 @@ def write_factor_tables(
                  _location_rows(matrix.locations, pair.w))
     _write_table(time_path, ["hour", *pattern_cols], _hour_rows(matrix.hours, pair.h))
     diagnostics = {
-        "config": {
-            "rank": cfg.rank,
-            "max_iters": cfg.max_iters,
-            "tol": cfg.tol,
-            "seed": cfg.seed,
-            "init": cfg.init,
-        },
+        "config": asdict(cfg),
         "iterations_run": pair.iterations_run,
         "converged": pair.converged,
         "final_loss": pair.objective_trace[-1],

@@ -377,6 +377,53 @@ def test_config_file_with_flag_override(tmp_path, synth_pair, capsys):
     assert (tmp_path / "flag_wins" / "report.json").exists()
 
 
+# A value other than its default for each setting, as a config file holds it.
+OTHER_VALUES = {"label_a": "spring 19", "label_b": "autumn", "seed": 3, "hours": "8..17",
+                "ranks": "3..5", "rank_a": 4, "rank_b": 3, "tol": 0.001, "max_iters": 25,
+                "init": "nndsvd", "threshold": 0.6, "locations": 30, "rank": 4, "noise": 0.1,
+                "pair_drop": 2, "pair_scale": 0.3}
+
+
+@pytest.mark.parametrize("command", [c[0] for c in cli._COMMANDS])
+def test_each_setting_as_a_flag_or_a_config_key_gives_the_same_outputs(
+        tmp_path, synth_pair, capsys, monkeypatch, command):
+    """For every setting a command takes, a value given as a flag and the
+    same value given as a config-file key write the same --out tree, stdout
+    and stderr."""
+    raw_a, raw_b = synth_pair
+    assert run_cli("ingest", "--input-a", str(raw_a), "--out", str(tmp_path)) == 0
+    counts = str(tmp_path / "counts_A.csv")
+    # The other settings each run gives as flags: what the command needs, and
+    # few iterations.
+    given = {
+        "ingest": {"input_a": str(raw_a), "input_b": str(raw_b)},
+        "rank-scan": {"input_a": counts, "max_iters": 30},
+        "factorize": {"input_a": counts, "rank_a": 5, "max_iters": 30},
+        "run": {"input_a": str(raw_a), "input_b": str(raw_b), "max_iters": 30},
+        "synth": {"pair_drop": 1},
+    }[command]
+    take_path(monkeypatch, "in-process")
+    keys = next(c[3] for c in cli._COMMANDS if c[0] == command)
+    for key in ("out", "seed", "hours", *keys):
+        outputs = []
+        for way in ("flag", "config"):
+            out = tmp_path / key / way
+            settings = {**given, "out": str(out)}
+            if key not in ("input_a", "input_b", "out"):
+                settings[key] = OTHER_VALUES[key]
+            config = {key: settings.pop(key)} if way == "config" else {}
+            config_path = tmp_path / key / f"{way}.json"
+            config_path.parent.mkdir(exist_ok=True)
+            config_path.write_text(json.dumps(config))
+            flags = [a for k, v in settings.items() for a in (cli._flag(k), str(v))]
+            capsys.readouterr()
+            assert run_cli(command, "--config", str(config_path), *flags) == 0, (key, way)
+            captured = capsys.readouterr()
+            outputs.append(({p.name: p.read_bytes() for p in out.iterdir()},
+                            captured.out.replace(str(out), "OUT"), captured.err))
+        assert outputs[0] == outputs[1], key
+
+
 def test_bad_config_file_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -410,7 +457,9 @@ def test_factorize_fixed_rank(tmp_path, synth_pair, capsys):
     assert (tmp_path / "2019_location_loadings.csv").exists()
     assert (tmp_path / "2019_time_loadings.csv").exists()
     diag = json.loads((tmp_path / "2019_diagnostics.json").read_text())
-    assert diag["config"]["seed"] == 6  # base seed 0 + rank 6
+    # NmfConfig's fields, exactly; the seed is the base seed 0 + rank 6.
+    assert diag["config"] == {"rank": 6, "max_iters": 500, "tol": 1e-5, "seed": 6,
+                              "init": "random"}
 
 
 def test_factorize_requires_rank(tmp_path, synth_pair):
@@ -500,8 +549,11 @@ def test_synth_manifest_consistent(tmp_path):
     run_cli("synth", "--rank", "4", "--noise", "0.05", "--seed", "2",
             "--pair-drop", "1", "--pair-scale", "0.6", "--out", str(out))
     manifest = json.loads((out / "synth_manifest.json").read_text())
-    assert manifest["planted_rank"] == 4
-    assert manifest["pair"]["rank_b"] == 3
+    # SyntheticSpec's fields and the hours, exactly, beside the pair and the periods.
+    assert {k: v for k, v in manifest.items() if k not in ("pair", "periods")} == {
+        "n_locations": 60, "n_hours": 12, "planted_rank": 4, "noise_level": 0.05, "seed": 2,
+        "hours": list(range(7, 19))}
+    assert manifest["pair"] == {"drop": 1, "count_scale": 0.6, "rank_b": 3}
     for period in ("A", "B"):
         info = manifest["periods"][period]
         assert 0.04 <= info["realized_noise"] <= 0.06
@@ -862,6 +914,12 @@ def program(argv, env, *flags):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
+def program_process(script, argv):
+    """`python -c script argv` as its own process, started, with text pipes."""
+    return subprocess.Popen([sys.executable, "-c", script, *argv], env=program_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
 @pytest.mark.parametrize("blas_threads, forks", [("1", True), (None, True), ("2", False)],
                          ids=["pinned-blas-forks", "unset-blas-forks", "unpinned-blas-in-process"])
 def test_run_in_a_real_process_warns_nothing(tmp_path, synth_pair, capsys, monkeypatch,
@@ -897,6 +955,99 @@ def test_run_in_a_real_process_warns_nothing(tmp_path, synth_pair, capsys, monke
         str(reference), "OUT")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == {
         p.name: p.read_bytes() for p in reference.iterdir()}
+
+
+# `run` in a process of its own whose worker is forked, with `cli._period`
+# wrapped by `wrap(period, cfg, path, label, rank, base)`, which the test
+# defines before this; argv follows the script. It prints "no child left" once
+# main has returned or raised with every child of the process reaped.
+WRAPPED_RUN = """
+import os, sys
+import trafficnmf.cli as cli
+
+period = cli._period
+cli._period = lambda *a, **k: wrap(period, *a, **k)
+cli._forks_worker = lambda: True
+try:
+    sys.exit(cli.main(sys.argv[1:]))
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child left", flush=True)
+"""
+
+
+def test_worker_reply_that_cannot_be_pickled_keeps_its_traceback(tmp_path, synth_pair):
+    # B raises a DataError holding a lambda, which its reply cannot pickle.
+    raw_a, raw_b = synth_pair
+    script = """
+from trafficnmf.errors import DataError
+
+def wrap(period, cfg, path, label, rank, base=False):
+    if label == "B":
+        e = DataError("B failed")
+        e.hook = lambda: None
+        raise e
+    return period(cfg, path, label, rank, base)
+""" + WRAPPED_RUN
+    proc = program_process(script, ["run", "--input-a", str(raw_a), "--input-b", str(raw_b),
+                                    "--rank-a", "6", "--rank-b", "4",
+                                    "--out", str(tmp_path / "out")])
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert out.endswith("\nno child left\n")
+    # The worker's traceback, then this process's.
+    pickling = err.index("Can't pickle")
+    assert err.rindex("Traceback (most recent call last):", 0, pickling) == 0
+    assert err.index("RuntimeError: the worker process of period B exited with code 1 "
+                     "without a result") > pickling
+
+
+@pytest.mark.parametrize("waiting_in", ["period-a", "receive"])
+def test_sigterm_to_run_stops_the_worker(tmp_path, synth_pair, waiting_in):
+    """A SIGTERM to `run`'s process, while period A runs or while it waits
+    for B's reply, stops B's worker: run exits 143 with no process left, and
+    no file appears under --out afterwards. B's worker would write its
+    count table 1.5 s after it starts."""
+    raw_a, raw_b = synth_pair
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    script = f"""
+import os, time
+from pathlib import Path
+
+def wrap(period, cfg, path, label, rank, base=False):
+    (Path({str(marks)!r}) / label).write_text(str(os.getpid()))
+    time.sleep(1.5 if label == "B" else 0 if {waiting_in!r} == "receive" else 300)
+    patterns = period(cfg, path, label, rank, base)
+    (Path({str(marks)!r}) / (label + ".done")).touch()
+    return patterns
+""" + WRAPPED_RUN
+    out = tmp_path / "out"
+    proc = program_process(script, ["run", "--input-a", str(raw_a), "--input-b", str(raw_b),
+                                    "--rank-a", "6", "--rank-b", "4", "--out", str(out)])
+    try:
+        # A has begun (or, with "receive", is done) in this process, and B
+        # in the worker.
+        wanted = {"A" if waiting_in == "period-a" else "A.done", "B"}
+        deadline = time.monotonic() + 60
+        while not wanted <= {p.name for p in marks.iterdir()}:
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.01)
+        proc.terminate()
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert (proc.returncode, stdout.splitlines()[-1], stderr) == (143, "no child left", "")
+    with pytest.raises(ProcessLookupError):  # the worker is gone, reaped by run
+        os.kill(int((marks / "B").read_text()), 0)
+    left = sorted(p.name for p in out.iterdir())
+    time.sleep(max(0.0, (marks / "B").stat().st_mtime + 2.5 - time.time()))
+    assert sorted(p.name for p in out.iterdir()) == left
+    assert "counts_B.csv" not in left
 
 
 def test_rank_scan_in_a_real_process_matches_in_process(tmp_path, capsys):

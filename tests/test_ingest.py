@@ -296,14 +296,14 @@ def test_cli_ingest_of_a_pipe_whose_cell_reaches_2_53_exits_2(tmp_path):
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_cli_ingest_of_a_pipe_with_a_byte_that_is_not_utf8_exits_2_at_once(tmp_path, newline):
-    """A pipe is not opened again to find the line of the bad byte: it gives
-    the file's DataError, its line counted from what was read. The writer
-    sends a few bytes at a time, so that line ends fall across reads. With
-    "\r\n", one line end straddles byte 2**16, so the text layer, which
-    reads a regular file in chunks whose size divides 2**16, gets its "\r"
-    and its "\n" in two reads."""
+    """A pipe gives the regular file's DataError, at once: the reader
+    numbers the lines as it takes them, block by block, and reads each
+    input once. The writer sends a few bytes at a time, so that line ends
+    fall across the pipe's reads. With "\r\n", one line end straddles byte
+    2**16, so the text layer, which reads a regular file in chunks whose
+    size divides 2**16, gets its "\r" and its "\n" in two reads."""
     rows = [HEADER.encode()] + [f"L{i},51.0,-0.1,7,{i}".encode() for i in range(1, 6000)]
-    rows[5000] = b"L\xa3" + rows[5000]  # line 5001, past the first chunk
+    rows[5000] = b"L\xa3" + rows[5000]  # line 5001, past the reader's first block of lines
     if newline == "\r\n":
         split = b"\r\n".join(rows).index(b"\r\n", 2**16 - 40)
         rows[1] = b"x" * (2**16 - 1 - split) + rows[1]

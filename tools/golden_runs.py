@@ -35,6 +35,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,16 @@ CASES = [
     ("rank-scan-bad-byte", ["rank-scan", "--input-a", "inputs/bad_byte_counts_A.csv"], False),
     ("factorize", ["factorize", "--input-a", "inputs/counts_A.csv", "--rank-a", "5",
                    "--init", "nndsvd"], False),
+    ("factorize-nan", ["factorize", "--input-a", "inputs/nan_counts_A.csv", "--rank-a", "5"],
+     False),
+    ("factorize-no-rank", ["factorize", "--input-a", "inputs/counts_A.csv"], False),
+    ("run-config", ["run", "--config", "inputs/run.json"], False),
+    ("synth-single-all-hours", ["synth", "--hours", "0..23", "--label-a", "spring 2019",
+                                "--locations", "40", "--rank", "4", "--noise", "0.05",
+                                "--seed", "7"], False),
+    ("synth-pair-scale", ["synth", "--locations", "50", "--rank", "5", "--noise", "0.02",
+                          "--pair-drop", "2", "--pair-scale", "0.4", "--seed", "3",
+                          "--label-a", "2019", "--label-b", "2020"], False),
 ]
 
 
@@ -102,8 +113,8 @@ def _checked(proc: subprocess.CompletedProcess) -> None:
 
 
 def make_inputs(src: Path, root: Path) -> None:
-    """The synthetic pairs, the DfT-shaped pair, and the inputs of the failure
-    and csv-path cases."""
+    """The synthetic pairs, the DfT-shaped pair, the inputs of the failure
+    and csv-path cases, and the config file of `run-config`."""
     inputs = root / "inputs"
     for n in (800, 3164):
         _checked(_program(src, root, [
@@ -135,6 +146,15 @@ def make_inputs(src: Path, root: Path) -> None:
     bad = (inputs / "counts_A.csv").read_bytes().splitlines()
     bad[300] = bad[300].replace(b",", b"\xa3,", 1)
     (inputs / "bad_byte_counts_A.csv").write_bytes(b"\n".join(bad) + b"\n")
+    table = (inputs / "counts_A.csv").read_text(encoding="utf-8").splitlines()
+    table[5] = table[5].rsplit(",", 1)[0] + ",nan"
+    (inputs / "nan_counts_A.csv").write_text("\n".join(table) + "\n", encoding="utf-8")
+    # `run` settings from a config file: A is scanned, B has a fixed rank.
+    (inputs / "run.json").write_text(json.dumps({
+        "input_a": "inputs/synth800/synth_A.csv", "input_b": "inputs/synth800/synth_B.csv",
+        "label_a": "before", "label_b": "after", "seed": 4, "hours": "8..17",
+        "ranks": "3..7", "rank_b": 4, "tol": 1e-4, "max_iters": 300, "init": "nndsvd",
+        "threshold": 0.75}, indent=2) + "\n", encoding="utf-8")
 
     sys.dont_write_bytecode = True  # leave no __pycache__ in either tree
     sys.path[:0] = [str(src), str(REPO / "perfbench")]
