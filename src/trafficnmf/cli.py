@@ -72,8 +72,8 @@ def _integer(value) -> int:
     return int(value)
 
 
-# Every setting a flag or config-file key can give: key -> (conversion,
-# default, help). The flag is the key with dashes; None means unset.
+# Every setting: key -> (conversion, default or None for unset, help). A command
+# takes those `_COMMANDS` lists, as flags (the key with dashes) or config keys.
 _SETTINGS = {
     "input_a": (str, None, "period A input: raw records, or a count table "
                            "for rank-scan and factorize"),
@@ -102,7 +102,7 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: str | None, command: str, keys: tuple[str, ...]) -> dict:
     if path is None:
         return {}
     p = Path(path)
@@ -119,19 +119,21 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {p} must hold a JSON object")
     for key in cfg:
-        if key not in _SETTINGS:
-            raise ConfigError(f"config file {p} has an unknown key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"config file {p} has an unknown key {key!r} for {command}")
     return cfg
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Merge flags over config-file values over defaults, then convert and
-    check every value; flags win. The result holds every `_SETTINGS` key,
-    `ranks` as a list, and `window` and `nmf` made from `hours` and `_SOLVER`."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
+    check every value; flags win. The result holds the command's settings in
+    `_COMMANDS`, plus `window` and `nmf` if it takes `hours` and `_SOLVER`."""
+    keys = next(c[3] for c in _COMMANDS if c[0] == args.command)
+    file_cfg = _load_config_file(args.config, args.command, keys)
     cfg = argparse.Namespace()
-    for key, (convert, default, _) in _SETTINGS.items():
-        value = getattr(args, key, None)
+    for key in keys:
+        convert, default, _ = _SETTINGS[key]
+        value = getattr(args, key)
         if value is None:
             value = file_cfg.get(key)
         if value is None:
@@ -143,20 +145,22 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         except (TypeError, ValueError) as e:
             raise ConfigError(f"{_flag(key)} has a bad value {value!r}: {e}") from None
 
-    try:
-        cfg.window = HourWindow(*cfg.hours)
-    except ValueError as e:
-        raise ConfigError(f"--hours: {e}") from None
-    r_lo, r_hi = cfg.ranks
-    for key, rank in (("ranks", r_lo), ("rank_a", cfg.rank_a), ("rank_b", cfg.rank_b)):
-        if rank is not None and rank < 1:
-            raise ConfigError(f"{_flag(key)} must be >= 1, got {rank}")
-    cfg.ranks = list(range(r_lo, r_hi + 1))
-    try:
-        cfg.nmf = NmfConfig(rank=1, seed=cfg.seed, **{key: getattr(cfg, key) for key in _SOLVER})
-    except ValueError as e:
-        raise ConfigError(f"bad solver setting: {e}") from None
-    if not (0.0 <= cfg.threshold <= 1.0):
+    if "hours" in keys:
+        try:
+            cfg.window = HourWindow(*cfg.hours)
+        except ValueError as e:
+            raise ConfigError(f"--hours: {e}") from None
+    for key in ("ranks", "rank_a", "rank_b"):
+        value = vars(cfg).get(key)
+        for rank in value if isinstance(value, tuple) else [value]:  # a span, or one rank
+            if rank is not None and not 1 <= rank <= 24:  # no matrix has more hour bins
+                raise ConfigError(f"{_flag(key)} must be in 1..24, got {rank}")
+    if "tol" in keys:  # the solver settings
+        try:
+            cfg.nmf = NmfConfig(rank=1, seed=cfg.seed, **{k: getattr(cfg, k) for k in _SOLVER})
+        except ValueError as e:
+            raise ConfigError(f"bad solver setting: {e}") from None
+    if "threshold" in keys and not 0.0 <= cfg.threshold <= 1.0:
         raise ConfigError(f"--threshold must be in [0, 1], got {cfg.threshold}")
     return cfg
 
@@ -219,7 +223,7 @@ def _scan(cfg: argparse.Namespace, x: NormalizedMatrix, label: str) -> tuple[Ran
     write the scan table."""
     from .rank import rank_scan
 
-    result = rank_scan(x, cfg.ranks, cfg.nmf)
+    result = rank_scan(x, range(cfg.ranks[0], cfg.ranks[1] + 1), cfg.nmf)
     for rank, reason in result.skipped.items():
         print(f"{label}: rank {rank} skipped: {reason}", file=sys.stderr)
     scan_path = _out_file(cfg.out, "rank_scan_{}.csv", label)
@@ -245,7 +249,7 @@ def _solve(cfg: argparse.Namespace, x: NormalizedMatrix, label: str,
     """
     if rank is None:
         result, scan_path = _scan(cfg, x, label)
-        print(f"{label}: scanned ranks {cfg.ranks[0]}..{cfg.ranks[-1]}, "
+        print(f"{label}: scanned ranks {cfg.ranks[0]}..{cfg.ranks[1]}, "
               f"recommended {result.recommended_rank} (wrote {scan_path})")
         return cfg.nmf.at_rank(result.recommended_rank), result.pairs[result.recommended_rank]
     nmf_cfg = cfg.nmf.at_rank(rank)
@@ -394,8 +398,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     When `_forks_worker` says so, period B runs in a forked worker process
     while period A runs here; otherwise B runs here after A. The outputs are
-    the same either way. A failure in B is raised once A is done. While the
-    worker runs, a SIGTERM to this process, in the main thread, stops the
+    the same either way. A failure in B is raised once A is done. From just
+    before the fork, a SIGTERM to this process, in the main thread, stops the
     worker too, and this process then exits with code 143 (128 + SIGTERM).
     """
     import signal  # only `run` stops a worker; other commands skip the import
@@ -403,7 +407,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     from .patterns import compare_periods, match_patterns
 
+    owner = os.getpid()
+
     def exit_on_sigterm(signum, frame):
+        if os.getpid() != owner:  # a worker not yet in its `try`: leave as it would
+            os._exit(128 + signum)
         raise SystemExit(128 + signum)
 
     cfg = _resolve(args)
@@ -415,8 +423,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         path_a = _require_input(cfg.input_a, "--input-a")
         period_b = (cfg, _require_input(cfg.input_b, "--input-b"), cfg.label_b, cfg.rank_b)
         if _forks_worker():
+            if threading.current_thread() is threading.main_thread():  # as signal requires
+                previous = signal.signal(signal.SIGTERM, exit_on_sigterm)
             fd, write_fd = os.pipe()
-            worker = os.fork()
+            signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGTERM])  # held until `worker`
+            worker = os.fork()                                           # is set; the child's
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGTERM])  # pending set is empty
             if worker == 0:  # the worker: it leaves by os._exit, never into the caller's
                 try:         # stack, its atexit handlers or its unflushed stdio buffers
                     os.close(fd)
@@ -431,8 +443,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             # With this process's copy of the write end closed, a worker that
             # dies without replying ends the read at EOF, not a hang.
             os.close(write_fd)
-            if threading.current_thread() is threading.main_thread():  # as signal requires
-                previous = signal.signal(signal.SIGTERM, exit_on_sigterm)
         patterns_a = _period(cfg, path_a, cfg.label_a, cfg.rank_a, base=True)
         if worker is not None:
             patterns_b = _receive(worker, fd, cfg.label_b)
@@ -525,19 +535,20 @@ class _Parser(argparse.ArgumentParser):
 
 _SOLVER = ("tol", "max_iters", "init")  # settings named as NmfConfig's fields
 
-# (command, handler, help, settings beyond --config, --out, --seed and --hours)
+# (command, handler, help, the settings it takes beyond --config, in --help's order)
 _COMMANDS = (
     ("ingest", cmd_ingest, "aggregate raw count records into matrix tables",
-     ("input_a", "input_b", "label_a", "label_b")),
+     ("out", "hours", "input_a", "input_b", "label_a", "label_b")),
     ("rank-scan", cmd_rank_scan, "score candidate ranks on an ingested matrix",
-     ("input_a", "label_a", "ranks", *_SOLVER)),
+     ("out", "seed", "input_a", "label_a", "ranks", *_SOLVER)),
     ("factorize", cmd_factorize, "factorize an ingested matrix at a fixed rank",
-     ("input_a", "label_a", "rank_a", *_SOLVER)),
+     ("out", "seed", "input_a", "label_a", "rank_a", *_SOLVER)),
     ("run", cmd_run, "full two-period pipeline with all exports",
-     ("input_a", "input_b", "label_a", "label_b", "ranks", "rank_a", "rank_b", *_SOLVER,
-      "threshold")),
+     ("out", "seed", "hours", "input_a", "input_b", "label_a", "label_b", "ranks", "rank_a",
+      "rank_b", *_SOLVER, "threshold")),
     ("synth", cmd_synth, "generate planted-factor record files",
-     ("label_a", "label_b", "locations", "rank", "noise", "pair_drop", "pair_scale")),
+     ("out", "seed", "hours", "label_a", "label_b", "locations", "rank", "noise", "pair_drop",
+      "pair_scale")),
 )
 
 
@@ -549,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, handler, text, keys in _COMMANDS:
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        for key in ("out", "seed", "hours", *keys):
+        for key in keys:
             _, default, help_text = _SETTINGS[key]
             if default is not None:
                 help_text += f" (default {default})"

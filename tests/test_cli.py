@@ -151,6 +151,14 @@ def test_nan_count_exits_3(tmp_path, capsys):
     (["run", "--tol", "1"], None, "tol must be < 1, got 1.0"),
     (["run", "--tol", "inf"], None, "tol must be < 1, got inf"),
     (["factorize", "--rank-a", "4", "--tol", "inf"], None, "tol must be < 1, got inf"),
+    # A setting the command does not take, as a flag or a config key.
+    (["ingest", "--seed", "9"], None, "unrecognized arguments: --seed 9"),
+    (["rank-scan", "--hours", "8..9"], None, "unrecognized arguments: --hours 8..9"),
+    (["factorize", "--hours", "8..9"], None, "unrecognized arguments: --hours 8..9"),
+    (["rank-scan"], {"threshold": 0.5}, "unknown key 'threshold' for rank-scan"),
+    # No count table or window has more than 24 hour bins.
+    (["run", "--ranks", "2..25"], None, "--ranks must be in 1..24, got 25"),
+    (["run", "--rank-b", "25"], None, "--rank-b must be in 1..24, got 25"),
 ])
 def test_bad_setting_exits_1_and_writes_nothing(tmp_path, synth_pair, capsys,
                                                 argv, config, message):
@@ -404,7 +412,7 @@ def test_each_setting_as_a_flag_or_a_config_key_gives_the_same_outputs(
     }[command]
     take_path(monkeypatch, "in-process")
     keys = next(c[3] for c in cli._COMMANDS if c[0] == command)
-    for key in ("out", "seed", "hours", *keys):
+    for key in keys:
         outputs = []
         for way in ("flag", "config"):
             out = tmp_path / key / way
@@ -1048,6 +1056,47 @@ def wrap(period, cfg, path, label, rank, base=False):
     time.sleep(max(0.0, (marks / "B").stat().st_mtime + 2.5 - time.time()))
     assert sorted(p.name for p in out.iterdir()) == left
     assert "counts_B.csv" not in left
+
+
+@pytest.mark.parametrize("when", ["before", "after", "in-worker"])
+def test_sigterm_to_run_as_it_forks_leaves_nothing(tmp_path, synth_pair, when):
+    """A SIGTERM that reaches `run` just before it forks B's worker, or just
+    after, before the worker's pid is stored, ends it with code 143, no
+    process left and nothing on stderr. One that reaches the worker before
+    it starts its work ends the worker alone, at once, as if killed: `run`
+    reports that B's worker exited with code 143."""
+    raw_a, raw_b = synth_pair
+    fds = open_fds()
+    script = f"""
+import os, signal
+
+fork = os.fork
+
+def fork_with_sigterm():
+    if {when!r} == "before":
+        os.kill(os.getpid(), signal.SIGTERM)
+    pid = fork()
+    if {when!r} == ("after" if pid else "in-worker"):
+        os.kill(os.getpid(), signal.SIGTERM)
+    return pid
+
+os.fork = fork_with_sigterm
+
+def wrap(period, *args, **kwargs):
+    return period(*args, **kwargs)
+""" + WRAPPED_RUN
+    proc = program_process(script, ["run", "--input-a", str(raw_a), "--input-b", str(raw_b),
+                                    "--rank-a", "6", "--rank-b", "4",
+                                    "--out", str(tmp_path / "out")])
+    out, err = proc.communicate(timeout=120)
+    assert out.endswith("no child left\n") and out.count("no child left") == 1
+    if when == "in-worker":
+        assert proc.returncode == 1
+        assert err.endswith("RuntimeError: the worker process of period B exited with code "
+                            "143 without a result\n")
+    else:
+        assert (proc.returncode, out, err) == (143, "no child left\n", "")
+    assert_nothing_left(fds)
 
 
 def test_rank_scan_in_a_real_process_matches_in_process(tmp_path, capsys):

@@ -4,8 +4,9 @@
 
 SRC is a checkout's ``src/`` directory and OUT a new output directory. The
 tool writes the inputs once into OUT/inputs, then runs every case of
-``CASES`` as ``python -m trafficnmf.cli`` with SRC on ``PYTHONPATH`` and
-BLAS on one thread, from OUT with relative paths: once as it starts (on
+``CASES`` as ``python -m trafficnmf.cli`` with SRC on ``PYTHONPATH``, BLAS
+on one thread and ``COLUMNS=80`` (so that ``--help`` wraps the same way on
+every host), from OUT with relative paths: once as it starts (on
 Linux with two or more CPUs, ``run`` forks period B's worker) and once under
 ``taskset -c 0`` (``run`` runs B after A). For each case and path,
 OUT/cases/<case>/<path>/ holds ``stdout``, ``stderr``, ``exit_code`` and the
@@ -98,11 +99,14 @@ CASES = [
     ("synth-pair-scale", ["synth", "--locations", "50", "--rank", "5", "--noise", "0.02",
                           "--pair-drop", "2", "--pair-scale", "0.4", "--seed", "3",
                           "--label-a", "2019", "--label-b", "2020"], False),
+    # The flags each command takes, as argparse wraps them at COLUMNS=80.
+    *[(f"help-{command}", [command, "--help"], False)
+      for command in ("ingest", "rank-scan", "factorize", "run", "synth")],
 ]
 
 
 def _program(src: Path, cwd: Path, argv: list[str], prefix=()) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1", COLUMNS="80")
     return subprocess.run([*prefix, sys.executable, "-m", "trafficnmf.cli", *argv], cwd=cwd,
                           env=env, capture_output=True, timeout=600)
 
