@@ -19,7 +19,6 @@ _HOME = {
     "ConfigError": "errors",
     "CountMatrix": "ingest",
     "DataError": "errors",
-    "DegenerateClusteringError": "errors",
     "EmptyInputError": "errors",
     "FactorPair": "nmf",
     "HourBinMismatchError": "errors",

@@ -75,9 +75,9 @@ def _integer(value) -> int:
 # Every setting: key -> (conversion, default or None for unset, help). A command
 # takes those `_COMMANDS` lists, as flags (the key with dashes) or config keys.
 _SETTINGS = {
-    "input_a": (str, None, "period A input: raw records, or a count table "
-                           "for rank-scan and factorize"),
-    "input_b": (str, None, "period B raw records"),
+    "input_a": (Path, None, "period A input: raw records, or a count table "
+                            "for rank-scan and factorize"),
+    "input_b": (Path, None, "period B raw records"),
     "label_a": (str, "A", "period A label"),
     "label_b": (str, "B", "period B label"),
     "out": (Path, ".", "output directory"),
@@ -126,9 +126,12 @@ def _load_config_file(path: str | None, command: str, keys: tuple[str, ...]) -> 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Merge flags over config-file values over defaults, then convert and
-    check every value; flags win. The result holds the command's settings in
-    `_COMMANDS`, plus `window` and `nmf` if it takes `hours` and `_SOLVER`."""
-    keys = next(c[3] for c in _COMMANDS if c[0] == args.command)
+    check every value; flags win. Then check that the command's required
+    settings are given, that the two labels give distinct file names where
+    both periods are written, and that the input files exist. The result
+    holds the command's settings in `_COMMANDS`, plus `window` and `nmf` if
+    it takes `hours` and `_SOLVER`."""
+    _, _, _, keys, required = next(c for c in _COMMANDS if c[0] == args.command)
     file_cfg = _load_config_file(args.config, args.command, keys)
     cfg = argparse.Namespace()
     for key in keys:
@@ -162,16 +165,21 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"bad solver setting: {e}") from None
     if "threshold" in keys and not 0.0 <= cfg.threshold <= 1.0:
         raise ConfigError(f"--threshold must be in [0, 1], got {cfg.threshold}")
+
+    for key in required:
+        if getattr(cfg, key) is None:
+            raise ConfigError(f"{_flag(key)} is required for {args.command}")
+    # Two periods whose labels give the same file names would overwrite
+    # each other's outputs.
+    if (any(vars(cfg).get(key) is not None for key in ("input_b", "pair_drop"))
+            and _file_label(cfg.label_a) == _file_label(cfg.label_b)):
+        raise ConfigError(f"--label-a {cfg.label_a!r} and --label-b {cfg.label_b!r} "
+                          f"give the same output file names")
+    for key in ("input_a", "input_b"):
+        path = vars(cfg).get(key)
+        if path is not None and not path.exists():
+            raise MissingInputError(f"input file not found: {path}")
     return cfg
-
-
-def _require_input(path_str: str | None, flag: str) -> Path:
-    if path_str is None:
-        raise ConfigError(f"{flag} is required for this command")
-    path = Path(path_str)
-    if not path.exists():
-        raise MissingInputError(f"input file not found: {path}")
-    return path
 
 
 def _make_out(out: Path) -> None:
@@ -208,14 +216,6 @@ def _file_label(label: str) -> str:
 
 def _out_file(out: Path, name: str, label: str) -> Path:
     return out / name.format(_file_label(label))
-
-
-def _check_labels(cfg: argparse.Namespace) -> None:
-    # Two periods whose labels give the same file names would overwrite
-    # each other's outputs.
-    if _file_label(cfg.label_a) == _file_label(cfg.label_b):
-        raise ConfigError(f"--label-a {cfg.label_a!r} and --label-b {cfg.label_b!r} "
-                          f"give the same output file names")
 
 
 def _scan(cfg: argparse.Namespace, x: NormalizedMatrix, label: str) -> tuple[RankScanResult, Path]:
@@ -276,36 +276,27 @@ def _finish(cfg: argparse.Namespace, x: NormalizedMatrix, label: str, nmf_cfg: N
     return found
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    inputs = [(cfg.input_a, cfg.label_a, "--input-a")]
-    if cfg.input_b is not None:
-        _check_labels(cfg)
-        inputs.append((cfg.input_b, cfg.label_b, "--input-b"))
+def cmd_ingest(cfg: argparse.Namespace) -> int:
     _make_out(cfg.out)
-    for path_str, label, flag in inputs:
-        _ingest(cfg, _require_input(path_str, flag), label)
-        print(f"wrote {_out_file(cfg.out, 'counts_{}.csv', label)}")
+    for path, label in (cfg.input_a, cfg.label_a), (cfg.input_b, cfg.label_b):
+        if path is not None:
+            _ingest(cfg, path, label)
+            print(f"wrote {_out_file(cfg.out, 'counts_{}.csv', label)}")
     return 0
 
 
-def cmd_rank_scan(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def cmd_rank_scan(cfg: argparse.Namespace) -> int:
     _make_out(cfg.out)
-    x = _prepare(cfg, _require_input(cfg.input_a, "--input-a"), cfg.label_a, raw=False)
+    x = _prepare(cfg, cfg.input_a, cfg.label_a, raw=False)
     result, out_path = _scan(cfg, x, cfg.label_a)
     print(f"wrote {out_path}")
     print(f"recommended rank: {result.recommended_rank}")
     return 0
 
 
-def cmd_factorize(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def cmd_factorize(cfg: argparse.Namespace) -> int:
     _make_out(cfg.out)
-    path = _require_input(cfg.input_a, "--input-a")
-    if cfg.rank_a is None:
-        raise ConfigError("--rank-a is required for factorize")
-    x = _prepare(cfg, path, cfg.label_a, raw=False)
+    x = _prepare(cfg, cfg.input_a, cfg.label_a, raw=False)
     nmf_cfg, pair = _solve(cfg, x, cfg.label_a, cfg.rank_a)
     _finish(cfg, x, cfg.label_a, nmf_cfg, pair)
     print(f"factorized {cfg.label_a} at rank {pair.rank}: "
@@ -393,7 +384,7 @@ def _forks_worker() -> bool:
     return threads == 1 and len(os.sched_getaffinity(0)) > 1
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(cfg: argparse.Namespace) -> int:
     """Both periods, then the comparison.
 
     When `_forks_worker` says so, period B runs in a forked worker process
@@ -414,14 +405,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             os._exit(128 + signum)
         raise SystemExit(128 + signum)
 
-    cfg = _resolve(args)
-    _check_labels(cfg)
     _make_out(cfg.out)
-    stage = "ingest"
+    period_b = (cfg, cfg.input_b, cfg.label_b, cfg.rank_b)
     worker = fd = previous = None
     try:
-        path_a = _require_input(cfg.input_a, "--input-a")
-        period_b = (cfg, _require_input(cfg.input_b, "--input-b"), cfg.label_b, cfg.rank_b)
         if _forks_worker():
             if threading.current_thread() is threading.main_thread():  # as signal requires
                 previous = signal.signal(signal.SIGTERM, exit_on_sigterm)
@@ -443,19 +430,18 @@ def cmd_run(args: argparse.Namespace) -> int:
             # With this process's copy of the write end closed, a worker that
             # dies without replying ends the read at EOF, not a hang.
             os.close(write_fd)
-        patterns_a = _period(cfg, path_a, cfg.label_a, cfg.rank_a, base=True)
+        patterns_a = _period(cfg, cfg.input_a, cfg.label_a, cfg.rank_a, base=True)
         if worker is not None:
             patterns_b = _receive(worker, fd, cfg.label_b)
         else:
             patterns_b = _period(*period_b)
 
-        stage = "comparison"
         match = match_patterns(patterns_a, patterns_b, cfg.threshold)
         report = compare_periods(patterns_a, patterns_b, match)
         summary = tio.write_comparison_report(cfg.out / "report.json", cfg.out / "summary.txt",
                                               report)
-    except TrafficNmfError as e:
-        print(f"pipeline failed during {getattr(e, 'stage', stage)}; "
+    except TrafficNmfError as e:  # one from a period names its stage
+        print(f"pipeline failed during {getattr(e, 'stage', 'comparison')}; "
               f"outputs under {cfg.out} may be partial", file=sys.stderr)
         raise
     finally:
@@ -474,12 +460,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(cfg: argparse.Namespace) -> int:
     from .synth import SyntheticSpec, generate_pair, generate_period
 
-    cfg = _resolve(args)
-    if cfg.pair_drop is not None:
-        _check_labels(cfg)
     try:
         spec = SyntheticSpec(
             n_locations=cfg.locations,
@@ -535,20 +518,21 @@ class _Parser(argparse.ArgumentParser):
 
 _SOLVER = ("tol", "max_iters", "init")  # settings named as NmfConfig's fields
 
-# (command, handler, help, the settings it takes beyond --config, in --help's order)
+# (command, handler, help, the settings it takes beyond --config, in --help's
+# order, and those of them it requires)
 _COMMANDS = (
     ("ingest", cmd_ingest, "aggregate raw count records into matrix tables",
-     ("out", "hours", "input_a", "input_b", "label_a", "label_b")),
+     ("out", "hours", "input_a", "input_b", "label_a", "label_b"), ("input_a",)),
     ("rank-scan", cmd_rank_scan, "score candidate ranks on an ingested matrix",
-     ("out", "seed", "input_a", "label_a", "ranks", *_SOLVER)),
+     ("out", "seed", "input_a", "label_a", "ranks", *_SOLVER), ("input_a",)),
     ("factorize", cmd_factorize, "factorize an ingested matrix at a fixed rank",
-     ("out", "seed", "input_a", "label_a", "rank_a", *_SOLVER)),
+     ("out", "seed", "input_a", "label_a", "rank_a", *_SOLVER), ("input_a", "rank_a")),
     ("run", cmd_run, "full two-period pipeline with all exports",
      ("out", "seed", "hours", "input_a", "input_b", "label_a", "label_b", "ranks", "rank_a",
-      "rank_b", *_SOLVER, "threshold")),
+      "rank_b", *_SOLVER, "threshold"), ("input_a", "input_b")),
     ("synth", cmd_synth, "generate planted-factor record files",
      ("out", "seed", "hours", "label_a", "label_b", "locations", "rank", "noise", "pair_drop",
-      "pair_scale")),
+      "pair_scale"), ()),
 )
 
 
@@ -557,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Elicit and compare spatio-temporal traffic patterns "
                                  "from vehicle-count records.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, handler, text, keys in _COMMANDS:
+    for command, handler, text, keys, _ in _COMMANDS:
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config file; flags override its values")
         for key in keys:
@@ -584,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except (ConfigError, DataError, NumericalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

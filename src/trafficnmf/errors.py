@@ -58,7 +58,3 @@ class NonNegativityError(NumericalError):
 
 class NonFiniteError(NumericalError):
     """A matrix that must be finite contains a NaN or infinite entry."""
-
-
-class DegenerateClusteringError(NumericalError):
-    """Clustering has fewer than two populated clusters or too few points."""

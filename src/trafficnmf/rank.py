@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateClusteringError, InvalidRankError, NumericalError, TrafficNmfError
+from .errors import InvalidRankError, NumericalError, TrafficNmfError
 from .ingest import NormalizedMatrix
 from .nmf import FactorPair, NmfConfig, factorize
 
@@ -64,8 +64,8 @@ def between_dispersion(points: np.ndarray, labels: np.ndarray) -> float:
 def calinski_harabasz(points: np.ndarray, labels: np.ndarray) -> float:
     """(B / (k - 1)) / (W / (n - k)) with k the number of distinct labels.
 
-    Returns positive infinity when the within-dispersion is exactly zero.
-    Raises DegenerateClusteringError for k < 2 or n <= k.
+    Returns positive infinity when the within-dispersion is exactly zero,
+    and NaN where the score is undefined: k < 2 or n <= k.
     """
     w, b, k = _dispersions(points, labels)
     return _ch_score(w, b, k, len(labels))
@@ -96,10 +96,8 @@ def _dispersions(points: np.ndarray, labels: np.ndarray) -> tuple[float, float, 
 
 
 def _ch_score(w: float, b: float, k: int, n: int) -> float:
-    if k < 2:
-        raise DegenerateClusteringError(f"need >=2 populated clusters, got {k}")
-    if n <= k:
-        raise DegenerateClusteringError(f"need more points ({n}) than clusters ({k})")
+    if k < 2 or n <= k:
+        return math.nan
     if w == 0.0:
         return math.inf
     return (b / (k - 1)) / (w / (n - k))
@@ -159,15 +157,11 @@ def _score(outcomes: dict[int, FactorPair | TrafficNmfError]) -> RankScanResult:
             skipped[rank] = str(outcome)
             continue
         w_d, b_d, k = _dispersions(outcome.w, np.argmax(outcome.w, axis=1))
-        try:
-            ch = _ch_score(w_d, b_d, k, outcome.w.shape[0])
-        except DegenerateClusteringError:
-            ch = math.nan
         entries.append(RankScanEntry(
             rank=rank,
             within_dispersion=w_d,
             between_dispersion=b_d,
-            ch_score=ch,
+            ch_score=_ch_score(w_d, b_d, k, outcome.w.shape[0]),
             final_loss=outcome.objective_trace[-1],
         ))
         pairs[rank] = outcome

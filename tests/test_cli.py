@@ -159,6 +159,11 @@ def test_nan_count_exits_3(tmp_path, capsys):
     # No count table or window has more than 24 hour bins.
     (["run", "--ranks", "2..25"], None, "--ranks must be in 1..24, got 25"),
     (["run", "--rank-b", "25"], None, "--rank-b must be in 1..24, got 25"),
+    (["rank-scan", "--ranks", "8..2"], None, "--ranks has a bad value '8..2': the range is empty"),
+    (["ingest", "--hours", "5..30"], None, "--hours: invalid hour window 5..30"),
+    (["run", "--threshold", "1.5"], None, "--threshold must be in [0, 1], got 1.5"),
+    (["run", "--config", "absent.json"], None, "config file not found: absent.json"),
+    (["run"], [1, 2], "must hold a JSON object"),
 ])
 def test_bad_setting_exits_1_and_writes_nothing(tmp_path, synth_pair, capsys,
                                                 argv, config, message):
@@ -172,6 +177,33 @@ def test_bad_setting_exits_1_and_writes_nothing(tmp_path, synth_pair, capsys,
     assert exit_code(*argv, "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert "error: " in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["ingest"], 1, "--input-a is required for ingest"),
+    (["ingest", "--input-a", "ABSENT"], 2, "input file not found: ABSENT"),
+    (["ingest", "--input-a", "RAW_A", "--input-b", "ABSENT"], 2, "input file not found: ABSENT"),
+    (["rank-scan"], 1, "--input-a is required for rank-scan"),
+    (["rank-scan", "--input-a", "ABSENT"], 2, "input file not found: ABSENT"),
+    (["factorize", "--rank-a", "2"], 1, "--input-a is required for factorize"),
+    (["factorize", "--input-a", "RAW_A"], 1, "--rank-a is required for factorize"),
+    (["factorize", "--input-a", "ABSENT", "--rank-a", "2"], 2, "input file not found: ABSENT"),
+    (["run", "--input-b", "RAW_B"], 1, "--input-a is required for run"),
+    (["run", "--input-a", "RAW_A"], 1, "--input-b is required for run"),
+    (["run", "--input-a", "ABSENT", "--input-b", "RAW_B"], 2, "input file not found: ABSENT"),
+    (["run", "--input-a", "RAW_A", "--input-b", "ABSENT"], 2, "input file not found: ABSENT"),
+])
+def test_missing_setting_or_input_writes_nothing(tmp_path, synth_pair, capsys, argv, code,
+                                                 message):
+    """Required settings and input files are checked before --out is made."""
+    raw_a, raw_b = synth_pair
+    names = {"RAW_A": str(raw_a), "RAW_B": str(raw_b), "ABSENT": str(tmp_path / "absent.csv")}
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli(*[names.get(a, a) for a in argv], "--out", str(out)) == code
+    message = message.replace("ABSENT", names["ABSENT"])
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

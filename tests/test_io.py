@@ -98,6 +98,14 @@ def test_read_count_matrix_missing_file(tmp_path):
         tio.read_count_matrix(tmp_path / "nope.csv")
 
 
+def test_read_count_matrix_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(DataError) as excinfo:
+        tio.read_count_matrix(path)
+    assert str(excinfo.value) == f"{path} is empty"
+
+
 def test_read_count_matrix_rejects_foreign_table(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -335,9 +343,10 @@ def test_count_tables_and_synth_files_keep_their_own_number_formats(tmp_path):
     assert (tmp_path / "h.csv").read_bytes() == b"hour,p1,p2\n7,100.0,12.0\n8,12.0,100.0\n"
 
 
-def _hand_made_comparison():
+def _hand_made_comparison(threshold=0.8):
     """2019 has three patterns and 2020 two: 2019's p1 returns as 2020's p2
-    an hour later, p2 returns as p1 at the same hour, p3 disappears."""
+    an hour later, p2 returns as p1 at the same hour, p3 disappears. Their
+    similarities are 0.908 and 0.996: at a higher threshold nothing matches."""
     hours = [7, 8, 9]
     raw_a = CountMatrix(values=np.array([[100.0, 50, 10], [40, 120, 90], [60, 80, 100],
                                          [150, 110, 90]]),
@@ -352,7 +361,7 @@ def _hand_made_comparison():
     set_b = PatternSet(temporal=np.array([[0.0, 0.8], [0.3, 1.0], [1.0, 0.0]]),
                        spatial=np.array([[0.5, 2.0], [3, 1], [1, 1.5]]),
                        matrix=raw_b, column_norms=np.array([64.0, 97.5]))
-    return compare_periods(set_a, set_b, match_patterns(set_a, set_b, threshold=0.8))
+    return compare_periods(set_a, set_b, match_patterns(set_a, set_b, threshold))
 
 
 def _ten_pattern_comparison():
@@ -444,6 +453,64 @@ Matched patterns:
   2019 p2 ~ 2020 p1 (similarity 0.996), peak 09:00 -> 09:00 (unchanged)
 Disappeared from 2019: p3
 New in 2020: none
+Dominant-pattern location counts:
+  2019: p1=1, p2=1, p3=2
+  2020: p1=1, p2=2
+"""
+
+_NO_MATCH_REPORT = """\
+{
+  "disappeared_count": 3,
+  "matched": [],
+  "period_a": {
+    "dominant_location_counts": {
+      "p1": 1,
+      "p2": 1,
+      "p3": 2
+    },
+    "label": "2019",
+    "rank": 3,
+    "temporal_peak_intensity": [
+      120.5,
+      80.0,
+      33.25
+    ],
+    "total_count": 1000.0
+  },
+  "period_b": {
+    "dominant_location_counts": {
+      "p1": 1,
+      "p2": 2
+    },
+    "label": "2020",
+    "rank": 2,
+    "temporal_peak_intensity": [
+      64.0,
+      97.5
+    ],
+    "total_count": 640.0
+  },
+  "threshold": 0.999,
+  "total_reduction_pct": 36.0,
+  "unmatched_a": [
+    "p1",
+    "p2",
+    "p3"
+  ],
+  "unmatched_b": [
+    "p1",
+    "p2"
+  ]
+}
+"""
+
+_NO_MATCH_SUMMARY = """\
+Period comparison: 2019 vs 2020
+Total vehicle count: 1000 -> 640 (36.0% reduction)
+Patterns: 3 in 2019, 2 in 2020 (match threshold 0.999)
+Matched patterns: none
+Disappeared from 2019: p1, p2, p3
+New in 2020: p1, p2
 Dominant-pattern location counts:
   2019: p1=1, p2=1, p3=2
   2020: p1=1, p2=2
@@ -546,7 +613,8 @@ Dominant-pattern location counts:
 @pytest.mark.parametrize("comparison, report_text, summary_text", [
     (_hand_made_comparison, _THREE_PATTERN_REPORT, _THREE_PATTERN_SUMMARY),
     (_ten_pattern_comparison, _TEN_PATTERN_REPORT, _TEN_PATTERN_SUMMARY),
-], ids=["three-patterns", "ten-patterns"])
+    (lambda: _hand_made_comparison(threshold=0.999), _NO_MATCH_REPORT, _NO_MATCH_SUMMARY),
+], ids=["three-patterns", "ten-patterns", "no-match"])
 def test_comparison_report_files_keep_their_exact_text(tmp_path, comparison, report_text,
                                                        summary_text):
     summary = tio.write_comparison_report(tmp_path / "report.json", tmp_path / "summary.txt",

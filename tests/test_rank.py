@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trafficnmf import io as tio
-from trafficnmf.errors import DegenerateClusteringError, InvalidRankError, NumericalError
+from trafficnmf.errors import InvalidRankError, NumericalError
 from trafficnmf.ingest import minmax_normalize
 from trafficnmf.nmf import FactorPair, NmfConfig, factorize
 from trafficnmf.rank import (
@@ -54,12 +54,17 @@ def ch_bruteforce(points, labels):
     return (b / (k - 1)) / (w / (n - k))
 
 
+def solve_with(w):
+    """A solve whose location factor is w, at rank w's column count."""
+    w = np.asarray(w, dtype=float)
+    return FactorPair(w=w, h=np.ones((w.shape[1], 2)), objective_trace=[1.0],
+                      iterations_run=1, converged=True)
+
+
 def scan_entry(w):
     """The scan's entry for a solve whose location factor is w."""
-    w = np.asarray(w, dtype=float)
-    pair = FactorPair(w=w, h=np.ones((w.shape[1], 2)), objective_trace=[1.0],
-                      iterations_run=1, converged=True)
-    entry, = _score({w.shape[1]: pair}).entries
+    pair = solve_with(w)
+    entry, = _score({pair.rank: pair}).entries
     return entry
 
 
@@ -141,11 +146,10 @@ def test_single_cluster_between_is_zero():
 
 
 def test_ch_degenerate_cases():
+    # One cluster, and as many clusters as points: CH is undefined.
     points = np.random.default_rng(0).random((4, 2))
-    with pytest.raises(DegenerateClusteringError):
-        calinski_harabasz(points, np.zeros(4, dtype=int))
-    with pytest.raises(DegenerateClusteringError):
-        calinski_harabasz(points, np.arange(4))
+    assert math.isnan(calinski_harabasz(points, np.zeros(4, dtype=int)))
+    assert math.isnan(calinski_harabasz(points, np.arange(4)))
 
 
 def test_ch_zero_within_is_infinite():
@@ -277,6 +281,25 @@ def test_score_gives_the_scan_of_outcomes_solved_anywhere(tmp_path):
     assert (tmp_path / "scan.csv").read_bytes() == (tmp_path / "scored.csv").read_bytes()
     with pytest.raises(NumericalError, match="every candidate rank failed"):
         _score({13: outcomes[13]})
+
+
+def test_rank_scan_never_recommends_a_rank_with_an_undefined_score():
+    # Rank 1 puts every location in one cluster.
+    x = planted_normalized(3, seed=4)
+    result = rank_scan(x, [1, 2, 3], NmfConfig(rank=2, seed=104))
+    assert [e.rank for e in result.entries] == [1, 2, 3]
+    assert math.isnan(result.entries[0].ch_score)
+    assert all(math.isfinite(e.ch_score) for e in result.entries[1:])
+    assert result.recommended_rank in (2, 3)
+
+
+def test_score_recommends_the_lowest_rank_when_no_score_is_defined():
+    # Every location's largest loading is in column 0, at both ranks.
+    result = _score({3: solve_with([[1.0, 0.2, 0.1], [2.0, 0.0, 0.5], [0.5, 0.4, 0.0]]),
+                     2: solve_with([[1.0, 0.2], [2.0, 0.0], [0.5, 0.4]])})
+    assert [e.rank for e in result.entries] == [2, 3]
+    assert all(math.isnan(e.ch_score) for e in result.entries)
+    assert result.recommended_rank == 2
 
 
 def test_rank_scan_of_no_ranks_is_an_invalid_rank_error():

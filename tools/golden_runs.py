@@ -92,6 +92,10 @@ CASES = [
     ("factorize-nan", ["factorize", "--input-a", "inputs/nan_counts_A.csv", "--rank-a", "5"],
      False),
     ("factorize-no-rank", ["factorize", "--input-a", "inputs/counts_A.csv"], False),
+    # A missing required flag, and a missing input after one that exists.
+    ("run-no-input-b", ["run", "--input-a", "inputs/synth800/synth_A.csv"], False),
+    ("ingest-missing-b", ["ingest", "--input-a", "inputs/synth800/synth_A.csv",
+                          "--input-b", "inputs/absent.csv"], False),
     ("run-config", ["run", "--config", "inputs/run.json"], False),
     ("synth-single-all-hours", ["synth", "--hours", "0..23", "--label-a", "spring 2019",
                                 "--locations", "40", "--rank", "4", "--noise", "0.05",
