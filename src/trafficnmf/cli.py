@@ -65,6 +65,12 @@ def _parse_span(text) -> tuple[int, int]:
     return lo_i, hi_i
 
 
+def _input_path(value) -> Path:
+    if not str(value):  # Path("") would be "."
+        raise ValueError("an empty path")
+    return Path(value)
+
+
 def _integer(value) -> int:
     # int() would truncate a config file's 6.7 to 6.
     if isinstance(value, float) and not value.is_integer():
@@ -75,9 +81,9 @@ def _integer(value) -> int:
 # Every setting: key -> (conversion, default or None for unset, help). A command
 # takes those `_COMMANDS` lists, as flags (the key with dashes) or config keys.
 _SETTINGS = {
-    "input_a": (Path, None, "period A input: raw records, or a count table "
-                            "for rank-scan and factorize"),
-    "input_b": (Path, None, "period B raw records"),
+    "input_a": (_input_path, None, "period A input: raw records, or a count table "
+                                   "for rank-scan and factorize"),
+    "input_b": (_input_path, None, "period B raw records"),
     "label_a": (str, "A", "period A label"),
     "label_b": (str, "B", "period B label"),
     "out": (Path, ".", "output directory"),
@@ -128,9 +134,9 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Merge flags over config-file values over defaults, then convert and
     check every value; flags win. Then check that the command's required
     settings are given, that the two labels give distinct file names where
-    both periods are written, and that the input files exist. The result
-    holds the command's settings in `_COMMANDS`, plus `window` and `nmf` if
-    it takes `hours` and `_SOLVER`."""
+    both periods are written, and that the input files exist and are not
+    directories. The result holds the command's settings in `_COMMANDS`,
+    plus `window` and `nmf` if it takes `hours` and `_SOLVER`."""
     _, _, _, keys, required = next(c for c in _COMMANDS if c[0] == args.command)
     file_cfg = _load_config_file(args.config, args.command, keys)
     cfg = argparse.Namespace()
@@ -175,10 +181,11 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             and _file_label(cfg.label_a) == _file_label(cfg.label_b)):
         raise ConfigError(f"--label-a {cfg.label_a!r} and --label-b {cfg.label_b!r} "
                           f"give the same output file names")
-    for key in ("input_a", "input_b"):
-        path = vars(cfg).get(key)
-        if path is not None and not path.exists():
+    for path in filter(None, map(vars(cfg).get, ("input_a", "input_b"))):
+        if not path.exists():
             raise MissingInputError(f"input file not found: {path}")
+        if path.is_dir():  # not is_file(): a pipe is read as a file is
+            raise MissingInputError(f"{path} cannot be read: Is a directory")
     return cfg
 
 

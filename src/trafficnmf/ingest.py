@@ -259,24 +259,23 @@ def _split_rows(stream, delimiter: str, columns, where: str = ""):
     the header's fields (None for an empty input, where it must raise) and
     returns the indices to pick.
 
-    Blocks of ASCII lines without quotes or bare "\\r" are split at their
-    delimiter offsets; from the first block that is not, the rest goes
-    through csv. A line csv cannot split is a DataError, `where` and the
-    line, raised once the rows before it are yielded; so is a line that is
-    not valid text (`_blocks`), raised before its block is split.
+    Plain blocks (`_is_plain`) are split at their delimiter offsets; from
+    the first block that is not, the rest goes through csv. A line csv
+    cannot split is a DataError, `where` and the line, raised once the rows
+    before it are yielded; so is a line that is not valid text (`_blocks`),
+    raised before its block is split.
     """
-    limit = csv.field_size_limit()
     indices = None
     blocks = _blocks(stream, where)
-    for block, text, first in blocks:
-        if not _is_plain(text, max(map(len, block)), limit):
+    for block, data, first in blocks:
+        if not _is_plain(data, delimiter, max(map(len, block))):
             break
         if indices is None:
             header = block[0].rstrip("\r\n")
             indices = columns(header.split(delimiter) if header else [])
-            text = text[len(block[0]):]
+            data = data.partition(b"\n")[2]
             first += 1
-        yield _split_plain(text, indices, ord(delimiter), first)
+        yield _split_plain(data, indices, ord(delimiter), first)
     else:  # every block was plain
         if indices is None:
             columns(None)
@@ -295,45 +294,44 @@ def _split_rows(stream, delimiter: str, columns, where: str = ""):
 
 def _blocks(stream, where: str):
     """Yield the input a block of whole lines at a time, as
-    `stream.readlines(_BLOCK_CHARS)` gives it: the lines, their text and the
-    physical line of the first. A line holding a lone surrogate, which no
-    UTF-8 text holds, is a DataError, `where` and the line: U+DC80..U+DCFF
-    is a byte that is not UTF-8, as a file opened with
+    `stream.readlines(_BLOCK_CHARS)` gives it: the lines, their UTF-8 bytes
+    and the physical line of the first. A line holding a lone surrogate,
+    which no UTF-8 text holds, is a DataError, `where` and the line:
+    U+DC80..U+DCFF is a byte that is not UTF-8, as a file opened with
     errors="surrogateescape" keeps it; any other is a character."""
     line_no = 0  # physical lines read so far
     while block := stream.readlines(_BLOCK_CHARS):
-        text = "".join(block)
-        if not text.isascii():
-            for k, line in enumerate(block, line_no + 1):
-                try:
-                    line.encode()
-                except UnicodeEncodeError as e:
-                    code = ord(line[e.start])
-                    what = (f"byte {code - 0xDC00:#04x} is not UTF-8" if 0xDC80 <= code <= 0xDCFF
-                            else f"character U+{code:04X} is not valid text")
-                    raise DataError(f"{where}line {k}: {what}; "
-                                    "the whole file is rejected") from None
-        yield block, text, line_no + 1
+        try:
+            data = "".join(block).encode()
+        except UnicodeEncodeError as e:
+            k = np.searchsorted(np.cumsum([len(line) for line in block]), e.start, side="right")
+            code = ord(e.object[e.start])
+            what = (f"byte {code - 0xDC00:#04x} is not UTF-8" if 0xDC80 <= code <= 0xDCFF
+                    else f"character U+{code:04X} is not valid text")
+            raise DataError(f"{where}line {line_no + 1 + k}: {what}; "
+                            "the whole file is rejected") from None
+        yield block, data, line_no + 1
         line_no += len(block)
 
 
-def _is_plain(text: str, longest: int, limit: int) -> bool:
-    """Whether csv would split each line of `text` at every delimiter: ASCII,
-    no quote, "\\r" only in "\\r\\n" and no line longer than csv's field limit."""
-    return (text.isascii() and '"' not in text and longest <= limit
-            and ("\r" not in text or text.count("\r") == text.count("\r\n")))
+def _is_plain(data: bytes, delimiter: str, longest: int) -> bool:
+    """Whether csv would split each line of `data` at every delimiter: an
+    ASCII delimiter (UTF-8 puts no ASCII byte inside a longer character), no
+    quote, "\\r" only in "\\r\\n" and no line longer than csv's field limit."""
+    return (delimiter.isascii() and b'"' not in data and longest <= csv.field_size_limit()
+            and (b"\r" not in data or data.count(b"\r") == data.count(b"\r\n")))
 
 
-def _split_plain(text: str, indices: list[int], delimiter: int, first_line: int):
+def _split_plain(data: bytes, indices: list[int], delimiter: int, first_line: int):
     """Split a plain block (`_is_plain`) at its newline and delimiter offsets:
     the picked fields of each non-blank line, "" where a line is short, the
     line numbers of those lines, the first line being `first_line`, and
     their numbers of fields."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")  # a plain block has no other "\r"
-    if not text.endswith("\n"):
-        text += "\n"  # the input's last line has no line end
-    chars = np.frombuffer(text.encode("ascii"), np.uint8)
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")  # a plain block has no other "\r"
+    if not data.endswith(b"\n"):
+        data += b"\n"  # the input's last line has no line end
+    chars = np.frombuffer(data, np.uint8)
     # Every separator, with one before the block; each line's fields lie
     # between its separators.
     bounds = np.concatenate(([-1], np.flatnonzero((chars == delimiter) | (chars == ord("\n")))))
@@ -355,8 +353,8 @@ def _split_plain(text: str, indices: list[int], delimiter: int, first_line: int)
     out = np.cumsum(size) - size
     source = np.repeat((begin - out).astype(np.int32), size)
     source += np.arange(len(source), dtype=np.int32)
-    source[out + size - 1] = len(text) - 1
-    picked = chars[source].tobytes().decode("ascii").split("\n")
+    source[out + size - 1] = len(data) - 1
+    picked = chars[source].tobytes().decode().split("\n")
     return [picked[j:-1:len(k)] for j in range(len(k))], rows + first_line, widths
 
 
@@ -514,23 +512,17 @@ class _Aggregate:
         # Whole, nonnegative counts: each partial sum is exact below 2**53.
         np.add.at(self.sums, cell, count)
 
-        # The candidates that compete: the records at their location's lowest
-        # hour so far, after the held candidates at that hour. Key by key,
-        # each location keeps those at the least value; the first left wins.
+        # Records at their location's lowest hour compete, after its held candidate
+        # at that hour: sorted stably by location, count, lat and lon, the first wins.
         lowest = self.candidate[:, 0].copy()
         np.minimum.at(lowest, loc, hour)
         rows = np.flatnonzero(hour == lowest[loc])
-        held = np.flatnonzero((np.bincount(loc[rows], minlength=len(lowest)) > 0)
-                              & (self.candidate[:, 0] == lowest))
+        held = loc[rows][self.candidate[loc[rows], 0] == hour[rows]]
         code = np.concatenate((held, loc[rows]))
         keys = np.concatenate((self.candidate[held],
                                np.column_stack([c[rows] for c in (hour, count, lat, lon)])))
-        for k in (1, 2, 3):
-            least = np.full(len(lowest), np.inf)
-            np.minimum.at(least, code, keys[:, k])
-            left = keys[:, k] == least[code]
-            code, keys = code[left], keys[left]
-        first = np.unique(code, return_index=True)[1]
+        order = np.lexsort((*keys.T[:0:-1], code))
+        first = order[np.diff(code[order], prepend=-1) != 0]
         self.candidate[code[first]] = keys[first]
 
     def matrix(self, period_label: str) -> CountMatrix:

@@ -193,16 +193,26 @@ def test_bad_setting_exits_1_and_writes_nothing(tmp_path, synth_pair, capsys,
     (["run", "--input-a", "RAW_A"], 1, "--input-b is required for run"),
     (["run", "--input-a", "ABSENT", "--input-b", "RAW_B"], 2, "input file not found: ABSENT"),
     (["run", "--input-a", "RAW_A", "--input-b", "ABSENT"], 2, "input file not found: ABSENT"),
+    # Path("") is ".", a directory; a directory cannot be read as a file.
+    (["ingest", "--input-a", ""], 1, "--input-a has a bad value '': an empty path"),
+    (["run", "--input-a", "RAW_A", "--input-b", ""], 1,
+     "--input-b has a bad value '': an empty path"),
+    (["ingest", "--input-a", "DIR"], 2, "DIR cannot be read: Is a directory"),
+    (["rank-scan", "--input-a", "DIR"], 2, "DIR cannot be read: Is a directory"),
+    (["run", "--input-a", "RAW_A", "--input-b", "DIR"], 2, "DIR cannot be read: Is a directory"),
 ])
 def test_missing_setting_or_input_writes_nothing(tmp_path, synth_pair, capsys, argv, code,
                                                  message):
     """Required settings and input files are checked before --out is made."""
     raw_a, raw_b = synth_pair
-    names = {"RAW_A": str(raw_a), "RAW_B": str(raw_b), "ABSENT": str(tmp_path / "absent.csv")}
+    names = {"RAW_A": str(raw_a), "RAW_B": str(raw_b), "ABSENT": str(tmp_path / "absent.csv"),
+             "DIR": str(tmp_path / "dir")}
+    (tmp_path / "dir").mkdir()
     capsys.readouterr()
     out = tmp_path / "out"
     assert run_cli(*[names.get(a, a) for a in argv], "--out", str(out)) == code
-    message = message.replace("ABSENT", names["ABSENT"])
+    for name in ("ABSENT", "DIR"):
+        message = message.replace(name, names[name])
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -890,9 +900,8 @@ def test_run_with_a_directory_as_input_b_exits_2_naming_it(tmp_path, synth_pair,
     out = tmp_path / "out"
     assert run_cli_within(120, "run", "--input-a", str(raw_a), "--input-b", str(tmp_path),
                           "--rank-a", "6", "--rank-b", "4", "--out", str(out)) == 2
-    assert capsys.readouterr().err == (
-        f"pipeline failed during ingest; outputs under {out} may be partial\n"
-        f"error: {tmp_path} cannot be read: Is a directory\n")
+    assert capsys.readouterr().err == f"error: {tmp_path} cannot be read: Is a directory\n"
+    assert not out.exists()
     assert_nothing_left(fds)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import itertools
+import math
 import os
 import random
 import tempfile
@@ -427,6 +428,100 @@ def test_a_caller_who_opens_with_surrogateescape_gets_the_data_error(tmp_path):
         parse_records(f)
 
 
+# Unquoted fields with letters of two to four UTF-8 bytes: ids, one padded
+# with no-break spaces, road names, one holding U+2028, and a count in
+# Arabic-Indic digits, which float reads. Every rejection reason occurs.
+_RAW_NON_ASCII = "count_point_id,road_name,latitude,longitude,hour,all_motor_vehicles"
+_NON_ASCII_ROWS = ["Lé{k},Rue de l’Église,51.5,-0.1,7,10",
+                   "\u00a0Lé{k}\u00a0,Straße,51.5,-0.1,8,12",
+                   "東京{k},東名高速,35.6,139.7,9,٣", "", "Ł{k},Łódź,52.2,19.4,10,-4",
+                   "😀{k},🚗 road,91,0,7,5", "Ω{k},Ω\u2028road,10,10,7,2.5", "é{k},x,1,1,25,1"]
+
+
+def _non_ascii_table(header, rows, line_end, quoted):
+    """`rows` under `header`; with `quoted`, the first data row's id is quoted,
+    which sends every data row through csv."""
+    rows = list(rows)
+    if quoted:
+        loc_id, rest = rows[0].split(",", 1)
+        rows[0] = f'"{loc_id}",{rest}'
+    return line_end.join([header, *rows, ""])
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("block_chars", [ingest._BLOCK_CHARS, 50])
+def test_non_ascii_letters_in_unquoted_fields_stay_on_the_plain_path(tmp_path, line_end,
+                                                                      block_chars):
+    """Raw records and a count table whose unquoted fields hold non-ASCII
+    letters are split at their UTF-8 delimiter offsets, never by csv, into
+    the rows, tallies and line numbers that csv gives the same text with one
+    quoted field."""
+    raw = [row.format(k=k) for k in range(12) for row in _NON_ASCII_ROWS]
+    table = [f"Łé{k},{50 + k % 9},{k % 7},{k},{k * 3}" for k in range(60)]
+    bad_table = [*table[:40], "Ünï,50,0,é,1", *table[40:]]  # "é" is on line 42
+    csv_path = mock.patch.object(ingest, "_split_csv", side_effect=AssertionError("csv path"))
+
+    def parsed(quoted):
+        result = parse_records(_non_ascii_table(_RAW_NON_ASCII, raw, line_end, quoted))
+        t = result.records
+        return ([*t.location_ids], *(c.tolist() for c in (t.latitude, t.longitude, t.hour,
+                                                           t.count)),
+                result.rejections.by_reason, result.rejections.samples)
+
+    def read(rows, quoted):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(_non_ascii_table("location_id,latitude,longitude,h07,h08", rows,
+                                          line_end, quoted).encode())
+        try:
+            m = tio.read_count_matrix(path)
+        except DataError as e:
+            return str(e)
+        return m.locations, m.hours, m.values.tolist()
+
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+        with csv_path:
+            plain = parsed(quoted=False), read(table, False), read(bad_table, False)
+        assert plain == (parsed(quoted=True), read(table, True), read(bad_table, True))
+    assert plain[0][5] == {"malformed": 12, "negative count": 12, "unmappable hour": 12,
+                           "coordinates out of range": 12}
+    assert plain[0][0][:4] == ["Lé0", "Lé0", "東京0", "Lé1"]
+    assert plain[2] == (f"{tmp_path / 'counts.csv'}, line 42: "
+                        "could not convert string to float: 'é'")
+
+
+@pytest.mark.parametrize("line_end", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+@pytest.mark.parametrize("block_chars", [ingest._BLOCK_CHARS, 50])
+@pytest.mark.parametrize("at", ["start", "middle", "end"])
+def test_a_byte_that_is_not_utf8_is_named_on_its_line_among_non_ascii_letters(
+        tmp_path, line_end, block_chars, at):
+    """The block's one UTF-8 encode finds the byte, and the line lengths
+    before it give its physical line, whatever letters of several bytes
+    precede it in its block and on its line, and wherever it lies on it."""
+    rows = [HEADER.encode()] + [f"Łé{k},51.0,-0.1,7,{k}".encode() for k in range(1, 30)]
+    before, after = {"start": (b"", rows[17]), "end": (rows[17], b""),
+                     "middle": rows[17].split(b",", 1)}[at]
+    rows[17] = before + b"\xa3" + after  # line 18
+    path = tmp_path / "raw.csv"
+    path.write_bytes(line_end.join(rows) + line_end)
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+        assert cli_ingest(path, tmp_path / "out") == (
+            2, "", f"error: {path}, line 18: byte 0xa3 is not UTF-8; the whole file is rejected\n")
+
+
+def test_a_non_ascii_delimiter_goes_through_csv():
+    """A delimiter of two UTF-8 bytes has no single byte offset to split at,
+    so csv splits every block."""
+    schema = ColumnMapping(delimiter="¦")
+    text = "\n".join([HEADER.replace(",", "¦"), "Lé1¦51.5¦-0.1¦7¦10", "L3¦52.5¦-1.5¦9¦-4",
+                      "L,2¦50.5¦-0.1¦8¦1", ""])
+    with mock.patch.object(ingest, "_split_plain", side_effect=AssertionError("plain path")):
+        result = parse_records(text, schema)
+    t = result.records
+    assert ([*t.location_ids], t.latitude.tolist(), t.hour.tolist(), t.count.tolist()) == (
+        ["Lé1", "L,2"], [51.5, 50.5], [7, 8], [10.0, 1.0])
+    assert result.rejections.samples == [(3, "negative count")]
+
+
 def test_build_matrix_takes_coordinates_from_the_first_record_of_the_first_cell():
     """A location's coordinates come from its earliest hour; there, from the
     smallest count, then the smallest latitude, then the smallest longitude."""
@@ -435,6 +530,46 @@ def test_build_matrix_takes_coordinates_from_the_first_record_of_the_first_cell(
                rec("L1", 7, 6, lat=10.0, lon=-9.0)]
     for order in itertools.permutations(records):
         assert records_matrix(list(order)).locations == [("L1", 49.0, -2.0)]
+
+
+def _signed(locations):
+    """Locations with each coordinate's sign, so that -0.0 and 0.0 differ."""
+    return [(i, *((c, math.copysign(1.0, c)) for c in (lat, lon))) for i, lat, lon in locations]
+
+
+# Records of two locations tied on (hour, count) more often than not, with
+# latitudes and longitudes that tie as numbers but differ in sign.
+_TIED_ROW = st.tuples(st.sampled_from(["L1", "L2"]),
+                      st.sampled_from(["-0.0", "0.0", "-0", "51.5", "-3.25"]),
+                      st.sampled_from(["-0.0", "0.0", "-3.25"]),
+                      st.sampled_from(["7", "8"]), st.sampled_from(["5", "6"]))
+
+
+@settings(max_examples=150, deadline=None)
+@example(rows=[("L1", "0.0", "-3.25", "7", "5"), ("L1", "-0.0", "-3.25", "7", "5"),
+               ("L1", "-0.0", "0.0", "7", "5"), ("L1", "0.0", "-0.0", "7", "5")])
+@given(rows=st.lists(_TIED_ROW, min_size=1, max_size=30))
+def test_coordinates_are_the_least_record_first_added_first(rows):
+    """A location's coordinates are its least record's by (hour, count,
+    latitude, longitude), ties going to the first record added: with one
+    record a group, the held candidate competes with every record, and in
+    build_matrix all records compete at once."""
+    least = {}
+    for loc, lat, lon, hour, count in rows:
+        key = (int(hour), int(count), float(lat), float(lon))
+        if loc not in least or key < least[loc]:  # a tie keeps the first
+            least[loc] = key
+    want = _signed([(loc, key[2], key[3]) for loc, key in sorted(least.items())])
+    text = HEADER + "".join(f"\n{','.join(row)}" for row in rows) + "\n"
+    with (mock.patch.object(ingest, "_BLOCK_CHARS", 1),
+          mock.patch.object(ingest, "_GROUP_ROWS", 1)):
+        cells = ingest._Aggregate(HourWindow())
+        for group in ingest._accepted_rows(io.StringIO(text), ColumnMapping(),
+                                           RejectionSummary(), cells.codes):
+            assert len(group[0]) == 1
+            cells.add(*group)
+    assert _signed(cells.matrix("A").locations) == want
+    assert _signed(build_matrix(parse_records(text).records).locations) == want
 
 
 def test_parse_records_keeps_one_id_string_per_location():

@@ -54,7 +54,7 @@ CASES = [
                           ("skipped", ["--ranks", "2..14"]))],
     ("run-fail-b-header-only", ["run", "--input-a", "inputs/synth800/synth_A.csv",
                                 "--input-b", "inputs/header_only.csv"], False),
-    # B's worker fails as it opens its input.
+    # A directory as B's input, rejected before --out is made.
     ("run-fail-b-directory", ["run", "--input-a", "inputs/synth800/synth_A.csv",
                               "--input-b", "inputs"], False),
     ("run-fail-a-table", ["run", "--input-a", "inputs/counts_A.csv",
@@ -69,6 +69,10 @@ CASES = [
     ("run-dft-fixed", ["run", "--input-a", "inputs/dft/dft_A.csv",
                        "--input-b", "inputs/dft/dft_B.csv", "--rank-a", "6", "--rank-b", "4"],
      False),
+    # One non-ASCII letter in an unquoted name field of A's first data row.
+    ("run-dft-non-ascii", ["run", "--input-a", "inputs/dft/dft_A_non_ascii.csv",
+                           "--input-b", "inputs/dft/dft_B.csv", "--rank-a", "6",
+                           "--rank-b", "4"], False),
     ("run-quoted-a", ["run", "--input-a", "inputs/quoted_A.csv", "--input-b",
                       "inputs/synth800/synth_B.csv", "--rank-a", "6", "--rank-b", "4"], False),
     ("ingest-dft-all-hours", ["ingest", "--input-a", "inputs/dft/dft_A.csv",
@@ -81,6 +85,9 @@ CASES = [
     # Rank 1 puts every location in one cluster: its score is NaN.
     ("rank-scan-from-1", ["rank-scan", "--input-a", "inputs/counts_A.csv", "--ranks", "1..4"],
      False),
+    # Location ids with non-ASCII letters, unquoted.
+    ("rank-scan-non-ascii-ids", ["rank-scan", "--input-a", "inputs/counts_A_non_ascii.csv",
+                                 "--ranks", "2..6"], False),
     # A byte that is not UTF-8: in plain rows, after the switch to csv in a
     # file with "\r\n" line ends, and in a count table.
     ("ingest-bad-byte-plain", ["ingest", "--input-a", "inputs/bad_byte_A.csv"], False),
@@ -96,6 +103,8 @@ CASES = [
     ("run-no-input-b", ["run", "--input-a", "inputs/synth800/synth_A.csv"], False),
     ("ingest-missing-b", ["ingest", "--input-a", "inputs/synth800/synth_A.csv",
                           "--input-b", "inputs/absent.csv"], False),
+    # An empty input path, which Path would read as ".".
+    ("ingest-empty-input", ["ingest", "--input-a", ""], False),
     ("run-config", ["run", "--config", "inputs/run.json"], False),
     ("synth-single-all-hours", ["synth", "--hours", "0..23", "--label-a", "spring 2019",
                                 "--locations", "40", "--rank", "4", "--noise", "0.05",
@@ -121,8 +130,8 @@ def _checked(proc: subprocess.CompletedProcess) -> None:
 
 
 def make_inputs(src: Path, root: Path) -> None:
-    """The synthetic pairs, the DfT-shaped pair, the inputs of the failure
-    and csv-path cases, and the config file of `run-config`."""
+    """The synthetic pairs, the DfT-shaped pair, the inputs of the failure,
+    csv-path and non-ASCII cases, and the config file of `run-config`."""
     inputs = root / "inputs"
     for n in (800, 3164):
         _checked(_program(src, root, [
@@ -155,6 +164,9 @@ def make_inputs(src: Path, root: Path) -> None:
     bad[300] = bad[300].replace(b",", b"\xa3,", 1)
     (inputs / "bad_byte_counts_A.csv").write_bytes(b"\n".join(bad) + b"\n")
     table = (inputs / "counts_A.csv").read_text(encoding="utf-8").splitlines()
+    non_ascii = [table[0]] + [row.replace("L", "Łé", 1) for row in table[1:]]
+    (inputs / "counts_A_non_ascii.csv").write_text("\n".join(non_ascii) + "\n",
+                                                   encoding="utf-8")
     table[5] = table[5].rsplit(",", 1)[0] + ",nan"
     (inputs / "nan_counts_A.csv").write_text("\n".join(table) + "\n", encoding="utf-8")
     # `run` settings from a config file: A is scanned, B has a fixed rank.
@@ -176,6 +188,11 @@ def make_inputs(src: Path, root: Path) -> None:
         lines, _ = workloads._dft_rows(period, rng)
         (dft / f"dft_{period.period_label}.csv").write_text(
             workloads.DFT_HEADER + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        if period.period_label == "A":
+            lines[0] = lines[0].replace(",Region ", ",Région ", 1)
+            assert "é" in lines[0]
+            (dft / "dft_A_non_ascii.csv").write_text(
+                workloads.DFT_HEADER + "\n" + "\n".join(lines) + "\n", encoding="utf-8")
 
 
 def run_cases(src: Path, root: Path) -> None:
